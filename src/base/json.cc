@@ -47,7 +47,10 @@ std::string JsonEscape(std::string_view s) {
 }
 
 std::string JsonQuote(std::string_view s) {
-  return "\"" + JsonEscape(s) + "\"";
+  std::string out = "\"";
+  out += JsonEscape(s);
+  out += '"';
+  return out;
 }
 
 const JsonValue* JsonValue::Find(std::string_view key) const {

@@ -137,6 +137,13 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
                             std::to_string(ctx.attempt));
   }
 
+  // Phase spans (children of the job span) split the job's wall time into
+  // pull, kernel, substrate, verify and commit. Each emplace ends the
+  // previous phase before starting the next, so the spans close in LIFO
+  // order on every return path.
+  std::optional<Span> phase;
+  phase.emplace("job.pull", "job");
+
   // 1. Pull the job's inputs from the DFS — except inputs wired to a
   // RelationChannel, which are assembled from the producer's streamed
   // batches (bit-identical to the committed relation by construction) and
@@ -182,6 +189,8 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
     forced_serial.emplace(1);
   }
 
+  phase.emplace("job.kernel", "job");
+
   // 2. Execute the sub-DAG on real data, tracing volumes. The trace drives
   // the performance model; the *semantics* run through each engine's own
   // substrate below (MapReduce, partitioned RDDs, or the vertex runtime).
@@ -208,6 +217,8 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
       stream_bytes_out += pushed.bytes;
     }
   }
+
+  phase.emplace("job.substrate", "job");
 
   // Engine substrates: compute the job's results the way the engine would.
   // All substrates match the tracing interpreter up to floating-point
@@ -263,6 +274,34 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
       break;  // the interpreter IS the serial implementation
   }
   MUSKETEER_RETURN_IF_ERROR(ctx.Check());
+
+  phase.emplace("job.verify", "job");
+  // Verify the substrate against the shared kernel, then commit the
+  // *kernel's* tables. Substrates may legitimately differ from the kernel in
+  // row order and floating-point summation order (combiners, partitioned
+  // reduces), so the check is SameContent; anything beyond that is a
+  // detected execution fault — retryable, so the dispatcher can re-run or
+  // fail over. Committing the kernel's bits makes every engine's committed
+  // output identical, which is what lets failover guarantee
+  // Table::Identical results.
+  std::vector<std::pair<std::string, TablePtr>> to_commit;
+  to_commit.reserve(plan.outputs.size());
+  for (const std::string& name : plan.outputs) {
+    auto kernel_it = trace.relations.find(name);
+    if (kernel_it == trace.relations.end()) {
+      return InternalError("job did not produce declared output '" + name + "'");
+    }
+    auto it = engine_relations.find(name);
+    if (it == engine_relations.end()) {
+      return AbortedError("engine substrate did not produce '" + name + "'");
+    }
+    if (!Table::SameContent(*kernel_it->second, *it->second)) {
+      return AbortedError("substrate output '" + name + "' diverged from the "
+                          "shared kernel on " + job_signature);
+    }
+    to_commit.emplace_back(name, kernel_it->second);
+  }
+  phase.emplace("job.commit", "job");
 
   std::unordered_set<const OperatorNode*> misses;
   if (plan.quirks.model_type_inference_miss) {
@@ -399,31 +438,6 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
   result.stream_bytes_in = stream_bytes_in;
   result.stream_bytes_out = stream_bytes_out;
 
-  // Verify the substrate against the shared kernel, then commit the
-  // *kernel's* tables. Substrates may legitimately differ from the kernel in
-  // row order and floating-point summation order (combiners, partitioned
-  // reduces), so the check is SameContent; anything beyond that is a
-  // detected execution fault — retryable, so the dispatcher can re-run or
-  // fail over. Committing the kernel's bits makes every engine's committed
-  // output identical, which is what lets failover guarantee
-  // Table::Identical results.
-  std::vector<std::pair<std::string, TablePtr>> to_commit;
-  to_commit.reserve(plan.outputs.size());
-  for (const std::string& name : plan.outputs) {
-    auto it = engine_relations.find(name);
-    if (it == engine_relations.end()) {
-      return AbortedError("engine substrate did not produce '" + name + "'");
-    }
-    auto kernel_it = trace.relations.find(name);
-    if (kernel_it == trace.relations.end()) {
-      return InternalError("job did not produce declared output '" + name + "'");
-    }
-    if (!Table::SameContent(*kernel_it->second, *it->second)) {
-      return AbortedError("substrate output '" + name + "' diverged from the "
-                          "shared kernel on " + job_signature);
-    }
-    to_commit.emplace_back(name, kernel_it->second);
-  }
   // Every output verified; commit atomically so a failed attempt never
   // leaves partial outputs behind for a retry to trip over.
   for (auto& [name, table] : to_commit) {
@@ -470,6 +484,7 @@ StatusOr<JobResult> ExecuteJob(const JobPlan& plan, const ClusterConfig& cluster
     detail << ", " << shape.supersteps << " supersteps";
   }
   result.detail = detail.str();
+  phase.reset();
   result.wall_seconds = span.elapsed_seconds();
   job_wall.Observe(result.wall_seconds);
   return result;

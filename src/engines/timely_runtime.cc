@@ -2,21 +2,68 @@
 
 #include <algorithm>
 
-#include "src/backends/job.h"
 #include "src/base/cancel.h"
+#include "src/base/parallel.h"
 #include "src/relational/ops.h"
 
-// Parallelism note: this runtime is deliberately NOT morsel-parallelized.
-// It models Naiad's record-at-a-time dataflow — operators hold mutable
-// per-port state (buffers, notifications) that a streamed record mutates on
-// every OnRecv, so the whole dataflow is one sequential pass by
-// construction. Stateful operators that evaluate a whole relation at a
-// notification barrier call the shared relational kernels, which
-// parallelize internally (see DESIGN.md "Parallel data plane").
+// Parallelism note: the dataflow itself is one sequential pass. Operators
+// hold mutable per-port state (buffers, notification counts) that every
+// delivered batch mutates, as in Naiad's OnRecv. The work inside a batch is
+// columnar (compiled masks and batch expressions), and stateful operators
+// that evaluate a whole relation at a notification barrier call the shared
+// relational kernels, which parallelize internally (see DESIGN.md "Parallel
+// data plane").
 
 namespace musketeer {
 
 namespace {
+
+// One message batch in flight: rows [begin, end) of a table that outlives
+// the synchronous push (a source relation, an operator's result, or a
+// streaming operator's output block). Sources and stateful results travel as
+// zero-copy slices of at most kMorselRows rows.
+struct Batch {
+  const Table* table = nullptr;
+  size_t begin = 0;
+  size_t end = 0;
+  size_t rows() const { return end - begin; }
+};
+
+bool SameTypes(const Schema& a, const Schema& b) {
+  if (a.num_fields() != b.num_fields()) {
+    return false;
+  }
+  for (size_t c = 0; c < a.num_fields(); ++c) {
+    if (a.field(c).type != b.field(c).type) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Rows [begin, end) of `src` with `schema`'s column types (numeric casts).
+// Every batch an operator emits carries its inferred output types, so the
+// compiled evaluators downstream always read the typed vectors they were
+// compiled for.
+StatusOr<Table> Conform(const Table& src, size_t begin, size_t end,
+                        const Schema& schema) {
+  if (src.num_fields() != schema.num_fields()) {
+    return InternalError("timely: batch arity " +
+                         std::to_string(src.num_fields()) + " does not match " +
+                         schema.ToString());
+  }
+  std::vector<Column> cols(schema.num_fields());
+  for (size_t c = 0; c < cols.size(); ++c) {
+    if (!src.col(c).CastSlice(begin, end, schema.field(c).type, &cols[c])) {
+      return InternalError("timely: column " + std::to_string(c) + " of " +
+                           src.schema().ToString() + " cannot carry " +
+                           schema.ToString());
+    }
+  }
+  Table out = Table::FromColumns(schema, std::move(cols));
+  out.set_scale(src.scale());
+  return out;
+}
 
 // One instantiated dataflow over a DAG (the WHILE bodies get their own
 // instantiation per epoch).
@@ -37,9 +84,7 @@ class TimelyGraph {
         if (it == relations_.end()) {
           return NotFoundError("base relation '" + p.relation + "' not provided");
         }
-        for (size_t i = 0; i < it->second->num_rows(); ++i) {
-          MUSKETEER_RETURN_IF_ERROR(Fanout(node.id, it->second->MaterializeRow(i)));
-        }
+        MUSKETEER_RETURN_IF_ERROR(FanoutSlices(node.id, *it->second));
         MUSKETEER_RETURN_IF_ERROR(NotifyDownstream(node.id));
         ops_[node.id].collected = nullptr;  // inputs pass through untouched
         relations_[node.output] = it->second;
@@ -73,9 +118,11 @@ class TimelyGraph {
   };
 
   struct OpState {
-    // Streaming transforms (row-wise operators only).
-    RowPredicate predicate;                 // kSelect
-    std::vector<RowProjector> projectors;   // kProject / kMap
+    // Streaming transforms (row-wise operators only), compiled against the
+    // operator's input schema.
+    MaskEval predicate;              // kSelect
+    std::vector<int> columns;        // kProject
+    std::vector<BatchEval> exprs;    // kMap
     // Buffers for stateful operators, one per input port.
     std::vector<Table> buffers;
     // Downstream wiring and notification accounting.
@@ -83,7 +130,7 @@ class TimelyGraph {
     int ports = 0;
     int ports_notified = 0;
     bool fired = false;
-    bool streaming = false;  // forwards records without buffering
+    bool streaming = false;  // forwards batches without buffering
     std::shared_ptr<Table> collected;
     Schema out_schema;
   };
@@ -104,7 +151,6 @@ class TimelyGraph {
       OpState& op = ops_[node.id];
       op.ports = static_cast<int>(node.inputs.size());
       op.out_schema = schemas[node.id];
-      op.collected = std::make_shared<Table>(op.out_schema);
       for (size_t k = 0; k < node.inputs.size(); ++k) {
         ops_[node.inputs[k]].fanout.push_back(
             PortRef{node.id, static_cast<int>(k)});
@@ -124,7 +170,7 @@ class TimelyGraph {
         case OpKind::kSelect: {
           const auto& p = std::get<SelectParams>(node.params);
           MUSKETEER_ASSIGN_OR_RETURN(op.predicate,
-                                     p.condition->CompilePredicate(in_schema));
+                                     p.condition->CompileMask(in_schema));
           op.streaming = true;
           break;
         }
@@ -135,30 +181,21 @@ class TimelyGraph {
             if (!idx.has_value()) {
               return InvalidArgumentError("timely: missing column '" + name + "'");
             }
-            int i = *idx;
-            op.projectors.emplace_back([i](const Row& row) { return row[i]; });
+            op.columns.push_back(*idx);
           }
           op.streaming = true;
           break;
         }
         case OpKind::kMap: {
-          const auto& p = std::get<MapParams>(node.params);
-          for (size_t i = 0; i < p.outputs.size(); ++i) {
-            MUSKETEER_ASSIGN_OR_RETURN(RowProjector proj,
-                                       p.outputs[i].expr->Compile(in_schema));
-            if (op.out_schema.field(i).type == FieldType::kDouble) {
-              op.projectors.emplace_back([proj](const Row& row) -> Value {
-                return AsDouble(proj(row));
-              });
-            } else {
-              op.projectors.push_back(proj);
-            }
-          }
+          Schema compiled;
+          MUSKETEER_RETURN_IF_ERROR(CompileMapExprs(
+              std::get<MapParams>(node.params), in_schema, &compiled, &op.exprs));
+          op.out_schema = std::move(compiled);
           op.streaming = true;
           break;
         }
         case OpKind::kUnion:
-          op.streaming = true;  // forwards both ports record-at-a-time
+          op.streaming = true;  // forwards both ports batch-at-a-time
           break;
         default:
           // Stateful: buffer per port until notified on every port.
@@ -167,57 +204,101 @@ class TimelyGraph {
           }
           break;
       }
+      op.collected = std::make_shared<Table>(op.out_schema);
     }
     return OkStatus();
   }
 
-  Status Fanout(int producer, const Row& row) {
+  Status Fanout(int producer, const Batch& batch) {
     for (const PortRef& ref : ops_[producer].fanout) {
-      MUSKETEER_RETURN_IF_ERROR(OnRecv(ref.consumer, ref.port, row));
+      MUSKETEER_RETURN_IF_ERROR(OnRecv(ref.consumer, ref.port, batch));
     }
     return OkStatus();
   }
 
-  Status Emit(int node, const Row& row) {
-    ops_[node].collected->AddRow(row);
-    return Fanout(node, row);
+  // Pushes `table` downstream of `producer` as kMorselRows slices.
+  Status FanoutSlices(int producer, const Table& table) {
+    for (size_t begin = 0; begin < table.num_rows(); begin += kMorselRows) {
+      size_t end = std::min(table.num_rows(), begin + kMorselRows);
+      MUSKETEER_RETURN_IF_ERROR(Fanout(producer, Batch{&table, begin, end}));
+    }
+    return OkStatus();
   }
 
-  Status OnRecv(int node_id, int port, const Row& row) {
+  // Emits a block a streaming operator built: forward it, then keep it.
+  Status EmitOwned(int node, Table block) {
+    MUSKETEER_RETURN_IF_ERROR(Fanout(node, Batch{&block, 0, block.num_rows()}));
+    ops_[node].collected->AppendTable(std::move(block));
+    return OkStatus();
+  }
+
+  // Emits a batch unchanged (a select that kept every row, a union arm).
+  Status EmitView(int node, const Batch& batch) {
+    MUSKETEER_RETURN_IF_ERROR(Fanout(node, batch));
+    ops_[node].collected->AppendRange(*batch.table, batch.begin, batch.end);
+    return OkStatus();
+  }
+
+  Status OnRecv(int node_id, int port, const Batch& batch) {
     const OperatorNode& node = dag_.node(node_id);
     OpState& op = ops_[node_id];
-    if (node.kind == OpKind::kWhile) {
-      // Loop inputs buffer at the loop boundary (the ingress vertex).
-      op.buffers[port].AddRow(row);
-      ++stats_->records_buffered;
+    if (!op.streaming) {
+      // Stateful operators and loop ingress buffer at the port.
+      op.buffers[port].AppendRange(*batch.table, batch.begin, batch.end);
+      stats_->records_buffered += static_cast<int64_t>(batch.rows());
       return OkStatus();
     }
-    if (op.streaming) {
-      ++stats_->records_streamed;
-      switch (node.kind) {
-        case OpKind::kSelect:
-          if (op.predicate(row)) {
-            return Emit(node_id, row);
+    stats_->records_streamed += static_cast<int64_t>(batch.rows());
+    switch (node.kind) {
+      case OpKind::kSelect: {
+        std::vector<uint8_t> mask(batch.rows());
+        op.predicate(*batch.table, batch.begin, batch.end, mask.data());
+        std::vector<uint32_t> kept;
+        kept.reserve(batch.rows());
+        for (size_t k = 0; k < mask.size(); ++k) {
+          if (mask[k] != 0) {
+            kept.push_back(static_cast<uint32_t>(batch.begin + k));
           }
-          return OkStatus();
-        case OpKind::kProject:
-        case OpKind::kMap: {
-          Row out;
-          out.reserve(op.projectors.size());
-          for (const RowProjector& proj : op.projectors) {
-            out.push_back(proj(row));
-          }
-          return Emit(node_id, std::move(out));
         }
-        case OpKind::kUnion:
-          return Emit(node_id, row);
-        default:
-          return InternalError("streaming flag on stateful operator");
+        if (kept.empty()) {
+          return OkStatus();
+        }
+        if (kept.size() == batch.rows()) {
+          return EmitView(node_id, batch);
+        }
+        return EmitOwned(node_id, batch.table->Gather(kept));
       }
+      case OpKind::kProject: {
+        std::vector<Column> cols;
+        cols.reserve(op.columns.size());
+        for (int c : op.columns) {
+          cols.push_back(batch.table->col(c).Slice(batch.begin, batch.end));
+        }
+        return EmitOwned(node_id,
+                         Table::FromColumns(op.out_schema, std::move(cols)));
+      }
+      case OpKind::kMap: {
+        std::vector<Column> cols;
+        cols.reserve(op.exprs.size());
+        for (const BatchEval& eval : op.exprs) {
+          cols.push_back(eval(*batch.table, batch.begin, batch.end));
+        }
+        return EmitOwned(node_id,
+                         Table::FromColumns(op.out_schema, std::move(cols)));
+      }
+      case OpKind::kUnion: {
+        if (SameTypes(batch.table->schema(), op.out_schema)) {
+          return EmitView(node_id, batch);
+        }
+        // Mixed numeric union: the second arm takes the first arm's types.
+        MUSKETEER_ASSIGN_OR_RETURN(
+            Table block,
+            Conform(*batch.table, batch.begin, batch.end, op.out_schema));
+        return EmitOwned(node_id, std::move(block));
+      }
+      default:
+        return InternalError("streaming flag on stateful operator");
     }
-    op.buffers[port].AddRow(row);
-    ++stats_->records_buffered;
-    return OkStatus();
   }
 
   Status NotifyDownstream(int producer) {
@@ -246,11 +327,13 @@ class TimelyGraph {
         inputs.push_back(&t);
       }
       MUSKETEER_ASSIGN_OR_RETURN(Table result, EvaluateOperator(node, inputs));
-      for (size_t i = 0; i < result.num_rows(); ++i) {
-        Row row = result.MaterializeRow(i);
-        MUSKETEER_RETURN_IF_ERROR(Fanout(node_id, row));
-        op.collected->AddRow(row);
+      if (!SameTypes(result.schema(), op.out_schema)) {
+        MUSKETEER_ASSIGN_OR_RETURN(
+            result, Conform(result, 0, result.num_rows(), op.out_schema));
       }
+      op.buffers.clear();
+      op.collected = std::make_shared<Table>(std::move(result));
+      MUSKETEER_RETURN_IF_ERROR(FanoutSlices(node_id, *op.collected));
     }
     return NotifyDownstream(node_id);
   }
@@ -287,10 +370,15 @@ class TimelyGraph {
       }
     }
     TablePtr result = iter_out.at(wp.result);
-    // Egress: stream the loop result onward.
-    for (size_t i = 0; i < result->num_rows(); ++i) {
-      MUSKETEER_RETURN_IF_ERROR(Fanout(node.id, result->MaterializeRow(i)));
+    // Egress: stream the loop result onward with the loop's inferred types.
+    TablePtr egress = result;
+    if (!SameTypes(result->schema(), op.out_schema)) {
+      MUSKETEER_ASSIGN_OR_RETURN(
+          Table conformed,
+          Conform(*result, 0, result->num_rows(), op.out_schema));
+      egress = std::make_shared<const Table>(std::move(conformed));
     }
+    MUSKETEER_RETURN_IF_ERROR(FanoutSlices(node.id, *egress));
     MUSKETEER_RETURN_IF_ERROR(NotifyDownstream(node.id));
     op.collected = nullptr;
     relations_[node.output] = result;

@@ -1,93 +1,47 @@
 #include "src/engines/vertex_runtime.h"
 
 #include <algorithm>
-#include <iterator>
-#include <unordered_map>
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <utility>
 
 #include "src/base/cancel.h"
 #include "src/base/parallel.h"
 #include "src/opt/idiom.h"
+#include "src/relational/flat_hash.h"
 #include "src/relational/ops.h"
 
 namespace musketeer {
 
 namespace {
 
-struct ValueHash {
-  size_t operator()(const Value& v) const { return HashValue(v); }
-};
-struct ValueEq {
-  bool operator()(const Value& a, const Value& b) const {
-    return ValuesEqual(a, b);
-  }
-};
-
-// Compiled MAP: output schema plus per-column projectors with the same type
-// coercion the reference interpreter applies.
-struct CompiledMap {
-  Schema schema;
-  std::vector<RowProjector> projectors;
-};
-
-StatusOr<CompiledMap> CompileMap(const MapParams& params, const Schema& in) {
-  CompiledMap out;
-  for (const NamedExpr& ne : params.outputs) {
-    MUSKETEER_ASSIGN_OR_RETURN(FieldType t, ne.expr->InferType(in));
-    out.schema.AddField({ne.name, t});
-    MUSKETEER_ASSIGN_OR_RETURN(RowProjector proj, ne.expr->Compile(in));
-    if (t == FieldType::kDouble) {
-      out.projectors.emplace_back(
-          [proj](const Row& row) -> Value { return AsDouble(proj(row)); });
-    } else {
-      out.projectors.push_back(proj);
-    }
-  }
-  return out;
-}
-
-// Builds a join output row with the kernel's (key, left-rest, right-rest)
-// layout.
-Row JoinRow(const Row& lrow, int lkey, const Row& rrow, int rkey) {
-  Row row;
-  row.reserve(lrow.size() + rrow.size() - 1);
-  row.push_back(lrow[lkey]);
-  for (size_t c = 0; c < lrow.size(); ++c) {
-    if (static_cast<int>(c) != lkey) {
-      row.push_back(lrow[c]);
-    }
-  }
-  for (size_t c = 0; c < rrow.size(); ++c) {
-    if (static_cast<int>(c) != rkey) {
-      row.push_back(rrow[c]);
-    }
-  }
-  return row;
-}
-
-// The vertex program extracted from a graph-idiom WHILE body.
+// The vertex program extracted from a graph-idiom WHILE body. Columns are
+// kept by name and the MAPs as IR: each superstep resolves and compiles them
+// against the state's actual schema, as the interpreter does per iteration
+// (a loop-carried relation keeps its arity but may change column types).
 struct VertexProgram {
   // Scatter: JOIN(edge-side, vertex-side) + message MAP.
-  const OperatorNode* scatter_join = nullptr;
   bool vertex_on_left = false;  // which join input carries the loop state
-  int edge_key = 0;             // key column in the edge relation
-  int vertex_key = 0;           // key (id) column in the vertex relation
-  CompiledMap message;          // (destination id, message value)
-  std::optional<CompiledMap> self_message;  // MIN/MAX gathers (SSSP)
-  // Gather.
+  std::string vertex_key;       // key (id) column in the vertex relation
+  std::string edge_key;         // key column in the edge relation
+  const MapParams* message = nullptr;       // (destination id, message value)
+  const MapParams* self_message = nullptr;  // MIN/MAX gathers (SSSP)
+  bool self_message_first = false;  // self arm is the UNION's first input
+  // Gather: GROUP BY destination, one aggregate over the message.
   AggFn gather = AggFn::kSum;
-  FieldType msg_type = FieldType::kDouble;
+  std::string gather_key;
+  std::string gather_value;
   // Apply: JOIN(vertex, gathered) + update MAP.
   bool rejoin_vertex_on_left = true;
-  CompiledMap apply;
+  const MapParams* apply = nullptr;
   // Edge relation name (loop-invariant input).
   std::string edge_relation;
 };
 
-// Walks the idiom body and compiles it into a VertexProgram. The body must
-// have the shape idiom recognition accepted: scatter JOIN -> message MAP
-// [-> UNION with a vertex self-message MAP] -> GROUP BY -> rejoin JOIN ->
-// apply MAP.
+// Walks the idiom body into a VertexProgram. The body must have the shape
+// idiom recognition accepted: scatter JOIN -> message MAP [-> UNION with a
+// vertex self-message MAP] -> GROUP BY -> rejoin JOIN -> apply MAP.
 StatusOr<VertexProgram> ExtractProgram(const Dag& body,
                                        const std::string& loop_input,
                                        const SchemaMap& body_schemas_base) {
@@ -126,22 +80,16 @@ StatusOr<VertexProgram> ExtractProgram(const Dag& body,
   if (scatter == nullptr) {
     return FailedPreconditionError("vertex runtime: no scatter join in loop body");
   }
-  program.scatter_join = scatter;
   {
     const auto& jp = std::get<JoinParams>(scatter->params);
     int vin = scatter->inputs[program.vertex_on_left ? 0 : 1];
     int ein = scatter->inputs[program.vertex_on_left ? 1 : 0];
-    const Schema& vschema = schemas[vin];
-    const Schema& eschema = schemas[ein];
-    const std::string& vkey = program.vertex_on_left ? jp.left_key : jp.right_key;
-    const std::string& ekey = program.vertex_on_left ? jp.right_key : jp.left_key;
-    auto vidx = vschema.IndexOf(vkey);
-    auto eidx = eschema.IndexOf(ekey);
-    if (!vidx.has_value() || !eidx.has_value()) {
+    program.vertex_key = program.vertex_on_left ? jp.left_key : jp.right_key;
+    program.edge_key = program.vertex_on_left ? jp.right_key : jp.left_key;
+    if (!schemas[vin].IndexOf(program.vertex_key).has_value() ||
+        !schemas[ein].IndexOf(program.edge_key).has_value()) {
       return FailedPreconditionError("vertex runtime: join keys unresolved");
     }
-    program.vertex_key = *vidx;
-    program.edge_key = *eidx;
     // Edge relation name: the INPUT the edge side reads.
     const OperatorNode& edge_node = body.node(ein);
     if (edge_node.kind != OpKind::kInput) {
@@ -157,14 +105,10 @@ StatusOr<VertexProgram> ExtractProgram(const Dag& body,
     return FailedPreconditionError("vertex runtime: missing message map");
   }
   const OperatorNode& msg_map = body.node(consumers[0]);
-  {
-    const auto& mp = std::get<MapParams>(msg_map.params);
-    if (mp.outputs.size() != 2) {
-      return FailedPreconditionError("vertex runtime: message map must be "
-                                     "(destination, message)");
-    }
-    MUSKETEER_ASSIGN_OR_RETURN(program.message,
-                               CompileMap(mp, schemas[scatter->id]));
+  program.message = &std::get<MapParams>(msg_map.params);
+  if (program.message->outputs.size() != 2) {
+    return FailedPreconditionError("vertex runtime: message map must be "
+                                   "(destination, message)");
   }
 
   // 3. Optional UNION with vertex self-messages, then the gather GROUP BY.
@@ -181,9 +125,14 @@ StatusOr<VertexProgram> ExtractProgram(const Dag& body,
     if (sp.outputs.size() != 2) {
       return FailedPreconditionError("vertex runtime: self-message map shape");
     }
-    MUSKETEER_ASSIGN_OR_RETURN(CompiledMap self,
-                               CompileMap(sp, schemas[self_map.inputs[0]]));
-    program.self_message = std::move(self);
+    const OperatorNode& self_in = body.node(self_map.inputs[0]);
+    if (self_in.kind != OpKind::kInput ||
+        std::get<InputParams>(self_in.params).relation != loop_input) {
+      return FailedPreconditionError(
+          "vertex runtime: self-message map must read the vertex relation");
+    }
+    program.self_message = &sp;
+    program.self_message_first = u.inputs[0] == other;
     cursor = u.id;
     consumers = body.ConsumersOf(cursor);
   }
@@ -197,8 +146,17 @@ StatusOr<VertexProgram> ExtractProgram(const Dag& body,
       return FailedPreconditionError("vertex runtime: gather must aggregate one "
                                      "message column by vertex id");
     }
+    // The scatter evaluates (destination, message) positionally.
+    const Schema& messages = schemas[cursor];
+    if (messages.IndexOf(gp.group_columns[0]) != 0 ||
+        (gp.aggs[0].fn != AggFn::kCount &&
+         messages.IndexOf(gp.aggs[0].column) != 1)) {
+      return FailedPreconditionError("vertex runtime: gather must group by the "
+                                     "destination and aggregate the message");
+    }
     program.gather = gp.aggs[0].fn;
-    program.msg_type = program.message.schema.field(1).type;
+    program.gather_key = gp.group_columns[0];
+    program.gather_value = gp.aggs[0].output_name;
   }
 
   // 4. Rejoin + apply.
@@ -208,16 +166,38 @@ StatusOr<VertexProgram> ExtractProgram(const Dag& body,
   }
   const OperatorNode& rejoin = body.node(consumers[0]);
   program.rejoin_vertex_on_left = reads_loop(rejoin.inputs[0], reads_loop);
+  {
+    // The rejoin must key the state on the same id the scatter joined on.
+    const auto& jp = std::get<JoinParams>(rejoin.params);
+    const std::string& vkey =
+        program.rejoin_vertex_on_left ? jp.left_key : jp.right_key;
+    const std::string& gkey =
+        program.rejoin_vertex_on_left ? jp.right_key : jp.left_key;
+    if (vkey != program.vertex_key || gkey != program.gather_key) {
+      return FailedPreconditionError(
+          "vertex runtime: apply join must key on the vertex id");
+    }
+  }
 
   consumers = body.ConsumersOf(rejoin.id);
   if (consumers.size() != 1 || body.node(consumers[0]).kind != OpKind::kMap) {
     return FailedPreconditionError("vertex runtime: missing apply map");
   }
-  const OperatorNode& apply_map = body.node(consumers[0]);
-  MUSKETEER_ASSIGN_OR_RETURN(
-      program.apply,
-      CompileMap(std::get<MapParams>(apply_map.params), schemas[rejoin.id]));
+  program.apply = &std::get<MapParams>(body.node(consumers[0]).params);
   return program;
+}
+
+// Numeric view of a message cell (AsDouble's string sentinel included).
+double MessageAt(const Column& c, size_t i) {
+  switch (c.type()) {
+    case FieldType::kInt64:
+      return static_cast<double>(c.ints()[i]);
+    case FieldType::kDouble:
+      return c.doubles()[i];
+    case FieldType::kString:
+      break;
+  }
+  return std::numeric_limits<double>::quiet_NaN();
 }
 
 // Message accumulator with GroupByAgg-identical semantics.
@@ -227,8 +207,7 @@ struct Gathered {
   double max = -1e300;
   int64_t count = 0;
 
-  void Add(const Value& v) {
-    double d = AsDouble(v);
+  void Add(double d) {
     sum += d;
     min = std::min(min, d);
     max = std::max(max, d);
@@ -243,14 +222,17 @@ struct Gathered {
     count += o.count;
   }
 
-  Value Finalize(AggFn fn, FieldType msg_type) const {
+  // The aggregate in a column of the gathered type (GroupByAgg's rule:
+  // COUNT and integer SUM/MIN/MAX are INT, everything else DOUBLE).
+  void AppendTo(AggFn fn, Column* out) const {
     double v = 0;
     switch (fn) {
       case AggFn::kSum:
         v = sum;
         break;
       case AggFn::kCount:
-        return count;
+        out->mutable_ints()->push_back(count);
+        return;
       case AggFn::kMin:
         v = min;
         break;
@@ -258,131 +240,372 @@ struct Gathered {
         v = max;
         break;
       case AggFn::kAvg:
-        return count > 0 ? sum / static_cast<double>(count) : 0.0;
+        v = count > 0 ? sum / static_cast<double>(count) : 0.0;
+        break;
     }
-    // SUM/MIN/MAX of an integer message stays integral (kernel rule).
-    if (msg_type == FieldType::kInt64) {
-      return static_cast<int64_t>(v);
+    if (out->type() == FieldType::kInt64) {
+      out->mutable_ints()->push_back(static_cast<int64_t>(v));
+    } else {
+      out->mutable_doubles()->push_back(v);
     }
-    return v;
   }
 };
 
-// Runs the compiled program for `iterations` supersteps (stopping early at
-// a vertex-state fixpoint when requested).
+FieldType GatheredType(AggFn fn, FieldType msg_type) {
+  if (fn == AggFn::kCount) {
+    return FieldType::kInt64;
+  }
+  if (fn == AggFn::kAvg) {
+    return FieldType::kDouble;
+  }
+  return msg_type == FieldType::kInt64 ? FieldType::kInt64 : FieldType::kDouble;
+}
+
+// Vertex-id index over the state's key column: id -> first state row with
+// that id (a duplicate id shares its first row's messages). INT64 ids key a
+// FlatMap64 on their value. Other key types hash with Column::HashAt and
+// chain colliding ids, comparing with Column::EqualAt, so lookups follow
+// ValuesEqual across the numeric types; a NaN id matches nothing.
+class VertexIndex {
+ public:
+  static constexpr uint32_t kNone = FlatMap64::kEmpty;
+
+  explicit VertexIndex(const Column& keys)
+      : keys_(keys), int_keys_(keys.type() == FieldType::kInt64) {
+    const size_t n = keys.size();
+    canonical_.resize(n);
+    map_.Reserve(n);
+    if (!int_keys_) {
+      chain_.assign(n, kNone);
+    }
+    for (size_t row = 0; row < n; ++row) {
+      canonical_[row] = Insert(static_cast<uint32_t>(row));
+    }
+  }
+
+  // The first state row whose id equals probe[i], or kNone.
+  uint32_t Find(const Column& probe, size_t i) const {
+    if (probe.type() == FieldType::kDouble && KeyIsNaN(probe.doubles()[i])) {
+      return kNone;
+    }
+    if (!int_keys_) {
+      for (uint32_t c = map_.Find(probe.HashAt(i)); c != kNone; c = chain_[c]) {
+        if (keys_.EqualAt(c, probe, i)) {
+          return c;
+        }
+      }
+      return kNone;
+    }
+    switch (probe.type()) {
+      case FieldType::kInt64:
+        return map_.Find(static_cast<uint64_t>(probe.ints()[i]));
+      case FieldType::kDouble: {
+        // An INT id equals a double through the id's double view.
+        const double d = probe.doubles()[i];
+        if (d != std::trunc(d)) {
+          return kNone;
+        }
+        if (std::abs(d) < 9007199254740992.0) {  // 2^53: exact conversion
+          return map_.Find(static_cast<uint64_t>(static_cast<int64_t>(d)));
+        }
+        for (size_t row = 0; row < keys_.size(); ++row) {
+          if (static_cast<double>(keys_.ints()[row]) == d) {
+            return canonical_[row];
+          }
+        }
+        return kNone;
+      }
+      case FieldType::kString:
+        break;
+    }
+    return kNone;
+  }
+
+  // The first state row sharing `row`'s id.
+  uint32_t canonical(size_t row) const { return canonical_[row]; }
+
+ private:
+  uint32_t Insert(uint32_t row) {
+    bool inserted = false;
+    if (int_keys_) {
+      return *map_.FindOrInsert(static_cast<uint64_t>(keys_.ints()[row]), row,
+                                &inserted);
+    }
+    if (keys_.type() == FieldType::kDouble && KeyIsNaN(keys_.doubles()[row])) {
+      return row;  // unreachable by any probe
+    }
+    uint32_t* head = map_.FindOrInsert(keys_.HashAt(row), row, &inserted);
+    if (inserted) {
+      return row;
+    }
+    for (uint32_t c = *head; c != kNone; c = chain_[c]) {
+      if (keys_.EqualAt(c, keys_, row)) {
+        return c;
+      }
+    }
+    chain_[row] = *head;  // a new id whose hash collides
+    *head = row;
+    return row;
+  }
+
+  const Column& keys_;
+  const bool int_keys_;
+  FlatMap64 map_;                   // id (or id hash) -> first row
+  std::vector<uint32_t> chain_;     // generic path: next id, same hash
+  std::vector<uint32_t> canonical_;
+};
+
+// One output column of a join in HashJoin's (key, left-rest, right-rest)
+// layout: which input it comes from, and that input's column.
+struct JoinSlot {
+  bool left;
+  int col;
+};
+
+// The join output schema and its column sources.
+Schema JoinLayout(const Schema& left, int lkey, const Schema& right, int rkey,
+                  std::vector<JoinSlot>* slots) {
+  Schema out;
+  slots->clear();
+  out.AddField(left.field(lkey));
+  slots->push_back({true, lkey});
+  for (int c = 0; c < static_cast<int>(left.num_fields()); ++c) {
+    if (c != lkey) {
+      out.AddField(left.field(c));
+      slots->push_back({true, c});
+    }
+  }
+  for (int c = 0; c < static_cast<int>(right.num_fields()); ++c) {
+    if (c != rkey) {
+      out.AddField(right.field(c));
+      slots->push_back({false, c});
+    }
+  }
+  return out;
+}
+
+// Gathers the joined rows (left[lidx[k]], right[ridx[k]]) in `slots` layout.
+// A null index vector takes the whole side (already row-aligned).
+Table GatherJoined(const Schema& schema, const std::vector<JoinSlot>& slots,
+                   const Table& left, const std::vector<uint32_t>* lidx,
+                   const Table& right, const std::vector<uint32_t>* ridx) {
+  std::vector<Column> cols;
+  cols.reserve(slots.size());
+  for (const JoinSlot& s : slots) {
+    const Table& side = s.left ? left : right;
+    const std::vector<uint32_t>* idx = s.left ? lidx : ridx;
+    cols.push_back(idx != nullptr ? side.col(s.col).Gather(*idx)
+                                  : side.col(s.col));
+  }
+  return Table::FromColumns(schema, std::move(cols));
+}
+
+StatusOr<int> ColumnIndex(const Schema& schema, const std::string& name) {
+  auto idx = schema.IndexOf(name);
+  if (!idx.has_value()) {
+    return FailedPreconditionError("vertex runtime: no column '" + name +
+                                   "' in " + schema.ToString());
+  }
+  return *idx;
+}
+
+// Per-edge-morsel scatter output: chunk-local accumulators, one slot per
+// destination vertex in first-message order.
+struct ScatterPart {
+  FlatMap64 slots;                 // destination state row -> slot
+  std::vector<uint32_t> vertex;    // slot -> destination state row
+  std::vector<Gathered> acc;
+  int64_t sent = 0;
+
+  void Add(uint32_t dst, double msg) {
+    bool inserted = false;
+    uint32_t slot = *slots.FindOrInsert(
+        dst, static_cast<uint32_t>(vertex.size()), &inserted);
+    if (inserted) {
+      vertex.push_back(dst);
+      acc.emplace_back();
+    }
+    acc[slot].Add(msg);
+  }
+};
+
+// One superstep: scatter messages along the edges, gather them per
+// destination, apply the update to every vertex that received any. Returns
+// the next state.
+StatusOr<Table> Superstep(const VertexProgram& program, const Table& state,
+                          const Table& edges, int edge_key,
+                          VertexRuntimeStats* stats) {
+  MUSKETEER_ASSIGN_OR_RETURN(int vertex_key,
+                             ColumnIndex(state.schema(), program.vertex_key));
+  const VertexIndex index(state.col(vertex_key));
+
+  // Scatter: JOIN(vertex, edge) + message MAP, one edge morsel at a time.
+  const Table& sleft = program.vertex_on_left ? state : edges;
+  const Table& sright = program.vertex_on_left ? edges : state;
+  std::vector<JoinSlot> scatter_slots;
+  const Schema scatter_schema = JoinLayout(
+      sleft.schema(), program.vertex_on_left ? vertex_key : edge_key,
+      sright.schema(), program.vertex_on_left ? edge_key : vertex_key,
+      &scatter_slots);
+  Schema msg_schema;
+  std::vector<BatchEval> msg_exprs;
+  MUSKETEER_RETURN_IF_ERROR(CompileMapExprs(*program.message, scatter_schema,
+                                            &msg_schema, &msg_exprs));
+
+  // Edge morsels fill chunk-local accumulators in parallel (the state and
+  // its index are read-only here); they then merge in chunk order, a fixed
+  // tree independent of the thread count.
+  const Column& ekeys = edges.col(edge_key);
+  auto parts = ParallelMapChunks<ScatterPart>(
+      edges.num_rows(), kMorselRows, [&](size_t, size_t begin, size_t end) {
+        ScatterPart part;
+        std::vector<uint32_t> eidx;
+        std::vector<uint32_t> vidx;
+        for (size_t e = begin; e < end; ++e) {
+          uint32_t v = index.Find(ekeys, e);
+          if (v != VertexIndex::kNone) {  // dangling edges send nothing
+            eidx.push_back(static_cast<uint32_t>(e));
+            vidx.push_back(v);
+          }
+        }
+        if (eidx.empty()) {
+          return part;
+        }
+        const Table joined = GatherJoined(
+            scatter_schema, scatter_slots, sleft,
+            program.vertex_on_left ? &vidx : &eidx, sright,
+            program.vertex_on_left ? &eidx : &vidx);
+        const Column dst = msg_exprs[0](joined, 0, joined.num_rows());
+        const Column msg = msg_exprs[1](joined, 0, joined.num_rows());
+        part.sent = static_cast<int64_t>(joined.num_rows());
+        for (size_t k = 0; k < joined.num_rows(); ++k) {
+          uint32_t v = index.Find(dst, k);
+          if (v != VertexIndex::kNone) {  // unknown destinations never apply
+            part.Add(v, MessageAt(msg, k));
+          }
+        }
+        return part;
+      });
+  std::vector<Gathered> inbox(state.num_rows());
+  std::vector<uint8_t> has_mail(state.num_rows(), 0);
+  for (const ScatterPart& part : parts) {
+    stats->messages_sent += part.sent;
+    for (size_t s = 0; s < part.vertex.size(); ++s) {
+      inbox[part.vertex[s]].Merge(part.acc[s]);
+      has_mail[part.vertex[s]] = 1;
+    }
+  }
+
+  // Self-messages (extremum gathers keep the current state alive).
+  FieldType gathered_key_type = msg_schema.field(0).type;
+  FieldType msg_type = msg_schema.field(1).type;
+  if (program.self_message != nullptr) {
+    Schema self_schema;
+    std::vector<BatchEval> self_exprs;
+    MUSKETEER_RETURN_IF_ERROR(CompileMapExprs(
+        *program.self_message, state.schema(), &self_schema, &self_exprs));
+    const Column dst = self_exprs[0](state, 0, state.num_rows());
+    const Column msg = self_exprs[1](state, 0, state.num_rows());
+    for (size_t r = 0; r < state.num_rows(); ++r) {
+      uint32_t v = index.Find(dst, r);
+      if (v != VertexIndex::kNone) {
+        inbox[v].Add(MessageAt(msg, r));
+        has_mail[v] = 1;
+      }
+    }
+    stats->messages_sent += static_cast<int64_t>(state.num_rows());
+    if (program.self_message_first) {
+      // The UNION's first arm fixes the gathered relation's types.
+      gathered_key_type = self_schema.field(0).type;
+      msg_type = self_schema.field(1).type;
+    }
+  }
+
+  // Apply: JOIN(vertex, gathered) + update MAP over state morsels. Per-chunk
+  // blocks concatenate in chunk order (= state order).
+  Schema gathered_schema;
+  gathered_schema.AddField({program.gather_key, gathered_key_type});
+  gathered_schema.AddField(
+      {program.gather_value, GatheredType(program.gather, msg_type)});
+  const bool vleft = program.rejoin_vertex_on_left;
+  std::vector<JoinSlot> apply_slots;
+  const Schema apply_in = JoinLayout(
+      vleft ? state.schema() : gathered_schema, vleft ? vertex_key : 0,
+      vleft ? gathered_schema : state.schema(), vleft ? 0 : vertex_key,
+      &apply_slots);
+  Schema out_schema;
+  std::vector<BatchEval> apply_exprs;
+  MUSKETEER_RETURN_IF_ERROR(
+      CompileMapExprs(*program.apply, apply_in, &out_schema, &apply_exprs));
+
+  const Column& vkeys = state.col(vertex_key);
+  auto blocks = ParallelMapChunks<std::vector<Column>>(
+      state.num_rows(), kMorselRows, [&](size_t, size_t begin, size_t end) {
+        std::vector<uint32_t> rows;
+        for (size_t s = begin; s < end; ++s) {
+          if (has_mail[index.canonical(s)] != 0) {
+            rows.push_back(static_cast<uint32_t>(s));
+          }
+        }
+        std::vector<Column> block;
+        if (rows.empty()) {
+          return block;  // no messages: dropped by the rejoin (inner join)
+        }
+        // A row with mail matched its id, so the id and the destination are
+        // both numeric or both strings: the cast cannot fail.
+        Column key(gathered_key_type);
+        vkeys.Gather(rows).CastSlice(0, rows.size(), gathered_key_type, &key);
+        Column value(gathered_schema.field(1).type);
+        for (uint32_t s : rows) {
+          inbox[index.canonical(s)].AppendTo(program.gather, &value);
+        }
+        std::vector<Column> gcols;
+        gcols.push_back(std::move(key));
+        gcols.push_back(std::move(value));
+        const Table gathered =
+            Table::FromColumns(gathered_schema, std::move(gcols));
+        const Table joined =
+            vleft ? GatherJoined(apply_in, apply_slots, state, &rows, gathered,
+                                 nullptr)
+                  : GatherJoined(apply_in, apply_slots, gathered, nullptr,
+                                 state, &rows);
+        block.reserve(apply_exprs.size());
+        for (const BatchEval& eval : apply_exprs) {
+          block.push_back(eval(joined, 0, joined.num_rows()));
+        }
+        return block;
+      });
+  Table next(out_schema);
+  for (std::vector<Column>& block : blocks) {
+    if (!block.empty()) {
+      next.AppendTable(Table::FromColumns(out_schema, std::move(block)));
+    }
+  }
+  stats->vertex_updates += static_cast<int64_t>(next.num_rows());
+  return next;
+}
+
+// Runs the program for `iterations` supersteps (stopping early at a
+// vertex-state fixpoint when requested).
 StatusOr<Table> RunSupersteps(const VertexProgram& program, const Table& vertices,
                               const Table& edges, int64_t iterations,
                               bool until_fixpoint, VertexRuntimeStats* stats) {
-  std::vector<Row> state = vertices.MaterializeRows();
-  // The vertex program is row-at-a-time (compiled RowProjectors); edges are
-  // loop-invariant, so materialize them once outside the supersteps.
-  const std::vector<Row> erows = edges.MaterializeRows();
-
+  MUSKETEER_ASSIGN_OR_RETURN(int edge_key,
+                             ColumnIndex(edges.schema(), program.edge_key));
+  std::optional<Table> state;  // unset until the first superstep applies
   for (int64_t iter = 0; iter < iterations; ++iter) {
     MUSKETEER_RETURN_IF_ERROR(CheckInterrupt());
     ++stats->supersteps;
-    // Vertex index on the id column.
-    std::unordered_map<Value, const Row*, ValueHash, ValueEq> index;
-    index.reserve(state.size());
-    for (const Row& v : state) {
-      index.emplace(v[program.vertex_key], &v);
-    }
-
-    // Scatter: per-edge messages to destination buckets. Edge morsels fill
-    // chunk-local inboxes in parallel (the vertex index is read-only here);
-    // the per-destination accumulators then merge in chunk order, a fixed
-    // tree independent of the thread count.
-    using Inbox = std::unordered_map<Value, Gathered, ValueHash, ValueEq>;
-    auto chunk_inboxes = ParallelMapChunks<std::pair<Inbox, int64_t>>(
-        erows.size(), kMorselRows,
-        [&](size_t, size_t begin, size_t end) {
-          std::pair<Inbox, int64_t> out;
-          for (size_t e = begin; e < end; ++e) {
-            const Row& edge = erows[e];
-            auto it = index.find(edge[program.edge_key]);
-            if (it == index.end()) {
-              continue;  // dangling edge: inner-join semantics
-            }
-            Row joined = program.vertex_on_left
-                             ? JoinRow(*it->second, program.vertex_key, edge,
-                                       program.edge_key)
-                             : JoinRow(edge, program.edge_key, *it->second,
-                                       program.vertex_key);
-            Value dst = program.message.projectors[0](joined);
-            Value msg = program.message.projectors[1](joined);
-            out.first[dst].Add(msg);
-            ++out.second;
-          }
-          return out;
-        });
-    Inbox inbox;
-    for (auto& [chunk_inbox, sent] : chunk_inboxes) {
-      stats->messages_sent += sent;
-      for (auto& [dst, gathered] : chunk_inbox) {
-        inbox[dst].Merge(gathered);
-      }
-    }
-    // Self-messages (extremum gathers keep the current state alive).
-    if (program.self_message.has_value()) {
-      for (const Row& v : state) {
-        Value dst = program.self_message->projectors[0](v);
-        Value msg = program.self_message->projectors[1](v);
-        inbox[dst].Add(msg);
-        ++stats->messages_sent;
-      }
-    }
-
-    // Gather + apply: vertices with messages produce the next state. State
-    // morsels apply in parallel against the read-only inbox; per-chunk next
-    // vectors concatenate in chunk order (= state order, as sequentially).
-    auto apply_parts = ParallelMapChunks<std::vector<Row>>(
-        state.size(), kMorselRows, [&](size_t, size_t begin, size_t end) {
-          std::vector<Row> chunk_next;
-          for (size_t s = begin; s < end; ++s) {
-            const Row& v = state[s];
-            auto it = inbox.find(v[program.vertex_key]);
-            if (it == inbox.end()) {
-              continue;  // no messages: dropped by the rejoin (inner join)
-            }
-            Row acc_row{it->first,
-                        it->second.Finalize(program.gather, program.msg_type)};
-            Row joined = program.rejoin_vertex_on_left
-                             ? JoinRow(v, program.vertex_key, acc_row, 0)
-                             : JoinRow(acc_row, 0, v, program.vertex_key);
-            Row updated;
-            updated.reserve(program.apply.projectors.size());
-            for (const RowProjector& proj : program.apply.projectors) {
-              updated.push_back(proj(joined));
-            }
-            chunk_next.push_back(std::move(updated));
-          }
-          return chunk_next;
-        });
-    std::vector<Row> next;
-    next.reserve(inbox.size());
-    for (std::vector<Row>& part : apply_parts) {
-      stats->vertex_updates += static_cast<int64_t>(part.size());
-      next.insert(next.end(), std::make_move_iterator(part.begin()),
-                  std::make_move_iterator(part.end()));
-    }
-    if (until_fixpoint) {
-      Table before(program.apply.schema, state);
-      Table after(program.apply.schema, next);
-      if (iter == 0) {
-        // First trip: `state` still has the seed schema; compare by content
-        // only when arities agree.
-        before = Table(vertices.schema(), state);
-      }
-      if (before.schema().num_fields() == after.schema().num_fields() &&
-          Table::SameContent(before, after)) {
-        state = std::move(next);
-        break;
-      }
-    }
+    const Table& current = state.has_value() ? *state : vertices;
+    MUSKETEER_ASSIGN_OR_RETURN(
+        Table next, Superstep(program, current, edges, edge_key, stats));
+    const bool stable = until_fixpoint && Table::SameContent(current, next);
     state = std::move(next);
+    if (stable) {
+      break;
+    }
   }
-
-  Table out(program.apply.schema, std::move(state));
+  Table out = state.has_value() ? std::move(*state) : vertices;
   out.set_scale(vertices.scale());
   return out;
 }

@@ -5,11 +5,16 @@
 // dataflow form back into a vertex program: the scatter JOIN + message MAP
 // become a per-edge message function, the GROUP BY becomes the gather
 // aggregation, and the re-join + apply MAP become the per-vertex update.
-// Execution then proceeds in supersteps over an adjacency structure with
-// per-vertex message buckets, exactly like a GAS engine — no relational
-// operators involved. Results match the dataflow interpretation (identical
-// up to floating-point message-summation order; verified by the cross-engine
-// equivalence tests).
+// Execution then proceeds in supersteps, exactly like a GAS engine: the
+// vertex state and the edges stay columnar tables, a vertex-id index maps
+// each edge to its source vertex, edge morsels scatter messages into
+// chunk-local per-destination accumulators (merged in chunk order), and the
+// apply step evaluates the update over state morsels. Messages and updates
+// are computed with compiled batch expressions, not relational operators.
+// Results match the dataflow interpretation (identical up to floating-point
+// message-summation order; verified by the cross-engine equivalence tests).
+// A vertex id that appears twice in the state shares its first row's
+// messages.
 
 #ifndef MUSKETEER_SRC_ENGINES_VERTEX_RUNTIME_H_
 #define MUSKETEER_SRC_ENGINES_VERTEX_RUNTIME_H_

@@ -52,10 +52,8 @@ StatusOr<Table> EvalGroupByLike(const OperatorNode& node, const Table& in) {
   return GroupByAgg(in, group_idx, specs);
 }
 
-// Compiles a kMap node's output expressions against `schema`, inserting the
-// int64 → double widening wrapper where the inferred type is kDouble (a
-// mixed int/double expression can evaluate integral; downstream type checks
-// rely on the inferred schema).
+}  // namespace
+
 Status CompileMapExprs(const MapParams& p, const Schema& schema,
                        Schema* out_schema, std::vector<BatchEval>* exprs) {
   for (const NamedExpr& ne : p.outputs) {
@@ -82,8 +80,6 @@ Status CompileMapExprs(const MapParams& p, const Schema& schema,
   }
   return OkStatus();
 }
-
-}  // namespace
 
 StatusOr<Table> EvaluateOperator(const OperatorNode& node,
                                  const std::vector<const Table*>& inputs) {

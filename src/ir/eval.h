@@ -11,11 +11,21 @@
 #include <unordered_map>
 
 #include "src/ir/dag.h"
+#include "src/relational/ops.h"
 #include "src/relational/table.h"
 
 namespace musketeer {
 
 using TableMap = std::unordered_map<std::string, TablePtr>;
+
+// Compiles a MAP's output expressions against `schema` into batch
+// evaluators, appending the output fields to `out_schema`. Where the inferred
+// type is kDouble the evaluator widens an integral result to double (a mixed
+// int/double expression can evaluate integral; downstream type checks rely
+// on the inferred schema). Shared by the interpreter and the engine
+// substrates so every MAP evaluates identically.
+Status CompileMapExprs(const MapParams& p, const Schema& schema,
+                       Schema* out_schema, std::vector<BatchEval>* exprs);
 
 // Executes one non-INPUT, non-WHILE operator on resolved inputs.
 StatusOr<Table> EvaluateOperator(const OperatorNode& node,

@@ -580,9 +580,16 @@ std::string Expr::ToString() const {
       return column_;
     case ExprKind::kLiteral:
       return ValueToString(literal_);
-    case ExprKind::kBinary:
-      return "(" + lhs_->ToString() + " " + BinOpName(op_) + " " +
-             rhs_->ToString() + ")";
+    case ExprKind::kBinary: {
+      std::string out = "(";
+      out += lhs_->ToString();
+      out += ' ';
+      out += BinOpName(op_);
+      out += ' ';
+      out += rhs_->ToString();
+      out += ')';
+      return out;
+    }
   }
   return "?";
 }

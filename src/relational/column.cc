@@ -114,6 +114,28 @@ Column Column::Slice(size_t begin, size_t end) const {
   return out;
 }
 
+bool Column::CastSlice(size_t begin, size_t end, FieldType type,
+                       Column* out) const {
+  if (type == type_) {
+    *out = Slice(begin, end);
+    return true;
+  }
+  if (type == FieldType::kString || type_ == FieldType::kString) {
+    return false;
+  }
+  Column cast(type);
+  if (type == FieldType::kDouble) {
+    cast.doubles_.assign(ints_.begin() + begin, ints_.begin() + end);
+  } else {
+    cast.ints_.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      cast.ints_.push_back(static_cast<int64_t>(doubles_[i]));
+    }
+  }
+  *out = std::move(cast);
+  return true;
+}
+
 int Column::CompareAt(size_t i, const Column& other, size_t j) const {
   bool a_str = type_ == FieldType::kString;
   bool b_str = other.type_ == FieldType::kString;

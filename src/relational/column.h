@@ -144,6 +144,11 @@ class Column {
   // New column containing rows [begin, end).
   Column Slice(size_t begin, size_t end) const;
 
+  // Rows [begin, end) as a column of `type`: a plain Slice when the types
+  // agree, else a numeric cast with Append's coercion (a double truncates
+  // into INT). False, with `out` untouched, for a string/numeric mismatch.
+  bool CastSlice(size_t begin, size_t end, FieldType type, Column* out) const;
+
   // Hash of cell i, identical to HashValue on the equivalent Value (ints
   // hash through their double representation so 3 and 3.0 agree).
   size_t HashAt(size_t i) const {

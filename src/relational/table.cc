@@ -226,28 +226,127 @@ std::vector<uint32_t> SortedPermutation(const Table& t) {
   return perm;
 }
 
-// Cell equality with a floating-point tolerance: distributed engines sum
+// Canonical row order over one table (CompareRowsAt semantics for a table
+// without NaN cells) with the type dispatch hoisted out of the comparison:
+// each column resolves to its typed vector once per sort.
+class HoistedRowLess {
+ public:
+  explicit HoistedRowLess(const Table& t) {
+    cols_.reserve(t.num_fields());
+    for (size_t c = 0; c < t.num_fields(); ++c) {
+      const Column& col = t.col(c);
+      Key k{col.type(), nullptr, nullptr, nullptr};
+      switch (col.type()) {
+        case FieldType::kInt64:
+          k.ints = col.ints().data();
+          break;
+        case FieldType::kDouble:
+          k.doubles = col.doubles().data();
+          break;
+        case FieldType::kString:
+          k.strings = col.strings().data();
+          break;
+      }
+      cols_.push_back(k);
+    }
+  }
+
+  bool operator()(uint32_t x, uint32_t y) const {
+    for (const Key& k : cols_) {
+      switch (k.type) {
+        case FieldType::kInt64:
+          if (k.ints[x] != k.ints[y]) return k.ints[x] < k.ints[y];
+          break;
+        case FieldType::kDouble:
+          if (k.doubles[x] < k.doubles[y]) return true;
+          if (k.doubles[y] < k.doubles[x]) return false;
+          break;
+        case FieldType::kString: {
+          int cmp = k.strings[x].compare(k.strings[y]);
+          if (cmp != 0) return cmp < 0;
+          break;
+        }
+      }
+    }
+    return false;
+  }
+
+ private:
+  struct Key {
+    FieldType type;
+    const int64_t* ints;
+    const double* doubles;
+    const std::string* strings;
+  };
+  std::vector<Key> cols_;
+};
+
+bool HasNaN(const Table& t) {
+  for (size_t c = 0; c < t.num_fields(); ++c) {
+    if (t.col(c).type() != FieldType::kDouble) {
+      continue;
+    }
+    for (double d : t.col(c).doubles()) {
+      if (d != d) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// Permutation of `t`'s rows in canonical order. Tied rows are equal in every
+// cell, so which of them comes first cannot change a comparison: an
+// unstable sort suffices. `t` must hold no NaN (the order would not be a
+// strict weak ordering).
+std::vector<uint32_t> CanonicalPermutation(const Table& t) {
+  std::vector<uint32_t> perm(t.num_rows());
+  std::iota(perm.begin(), perm.end(), 0);
+  std::sort(perm.begin(), perm.end(), HoistedRowLess(t));
+  return perm;
+}
+
+// Doubles compare with a floating-point tolerance: distributed engines sum
 // doubles in partition order, which differs from the reference interpreter's
-// input order by last-ULP rounding. Integers and strings compare exactly;
-// a string never equals a numeric (the old row path coerced strings to 0.0
-// here, silently matching 0-valued doubles).
-bool CellsCloseEnough(const Column& a, size_t i, const Column& b, size_t j) {
-  bool a_str = a.type() == FieldType::kString;
-  bool b_str = b.type() == FieldType::kString;
+// input order by last-ULP rounding.
+bool CloseEnough(double x, double y) {
+  double tolerance = 1e-9 * std::max({std::abs(x), std::abs(y), 1.0});
+  return std::abs(x - y) <= tolerance;
+}
+
+double NumericCell(const Column& c, size_t i) {
+  return c.type() == FieldType::kInt64 ? static_cast<double>(c.ints()[i])
+                                       : c.doubles()[i];
+}
+
+// Column c of `a` under permutation pa against column c of `b` under pb.
+// Integers and strings compare exactly; a string never equals a numeric; a
+// double on either side compares with the tolerance.
+bool ColumnsCloseEnough(const Column& a, const std::vector<uint32_t>& pa,
+                        const Column& b, const std::vector<uint32_t>& pb) {
+  const bool a_str = a.type() == FieldType::kString;
+  const bool b_str = b.type() == FieldType::kString;
   if (a_str || b_str) {
-    return a_str && b_str && a.strings()[i] == b.strings()[j];
+    if (!(a_str && b_str)) {
+      return pa.empty();
+    }
+    for (size_t i = 0; i < pa.size(); ++i) {
+      if (a.strings()[pa[i]] != b.strings()[pb[i]]) return false;
+    }
+    return true;
   }
-  if (a.type() == FieldType::kDouble || b.type() == FieldType::kDouble) {
-    double x = a.type() == FieldType::kInt64
-                   ? static_cast<double>(a.ints()[i])
-                   : a.doubles()[i];
-    double y = b.type() == FieldType::kInt64
-                   ? static_cast<double>(b.ints()[j])
-                   : b.doubles()[j];
-    double tolerance = 1e-9 * std::max({std::abs(x), std::abs(y), 1.0});
-    return std::abs(x - y) <= tolerance;
+  if (a.type() == FieldType::kInt64 && b.type() == FieldType::kInt64) {
+    for (size_t i = 0; i < pa.size(); ++i) {
+      if (a.ints()[pa[i]] != b.ints()[pb[i]]) return false;
+    }
+    return true;
   }
-  return a.ints()[i] == b.ints()[j];
+  for (size_t i = 0; i < pa.size(); ++i) {
+    if (!CloseEnough(NumericCell(a, pa[i]), NumericCell(b, pb[i]))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -265,13 +364,18 @@ bool Table::SameContent(const Table& a, const Table& b) {
   if (a.schema().num_fields() != b.schema().num_fields()) {
     return false;
   }
-  std::vector<uint32_t> pa = SortedPermutation(a);
-  std::vector<uint32_t> pb = SortedPermutation(b);
-  for (size_t i = 0; i < pa.size(); ++i) {
-    for (size_t c = 0; c < a.num_fields(); ++c) {
-      if (!CellsCloseEnough(a.col(c), pa[i], b.col(c), pb[i])) {
-        return false;
-      }
+  if (Identical(a, b)) {
+    return true;  // the common verdict, without sorting
+  }
+  // A NaN cell equals nothing, so it can never be paired off.
+  if (a.num_rows() > 0 && (HasNaN(a) || HasNaN(b))) {
+    return false;
+  }
+  std::vector<uint32_t> pa = CanonicalPermutation(a);
+  std::vector<uint32_t> pb = CanonicalPermutation(b);
+  for (size_t c = 0; c < a.num_fields(); ++c) {
+    if (!ColumnsCloseEnough(a.col(c), pa, b.col(c), pb)) {
+      return false;
     }
   }
   return true;

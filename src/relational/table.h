@@ -10,9 +10,8 @@
 //
 // Storage is columnar: one typed Column per schema field plus a row count
 // (see column.h). Batch kernels operate on the typed vectors directly;
-// row-at-a-time call sites (the record-oriented timely runtime, tests) go
-// through RowRef / MaterializeRow, which rebuild the old row-of-variants
-// view on demand.
+// row-at-a-time call sites (tests, boundary conversions) go through RowRef /
+// MaterializeRow, which rebuild the old row-of-variants view on demand.
 
 #ifndef MUSKETEER_SRC_RELATIONAL_TABLE_H_
 #define MUSKETEER_SRC_RELATIONAL_TABLE_H_
@@ -176,6 +175,16 @@ class Table {
       cols_[k].AppendFrom(src.cols_[cols[k]], i);
     }
     ++num_rows_;
+    InvalidateAvgRowBytes();
+  }
+
+  // Appends rows [begin, end) of `src`; column types must match.
+  void AppendRange(const Table& src, size_t begin, size_t end) {
+    assert(src.cols_.size() == cols_.size());
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      cols_[c].AppendRange(src.cols_[c], begin, end);
+    }
+    num_rows_ += end - begin;
     InvalidateAvgRowBytes();
   }
 

@@ -302,7 +302,7 @@ WorkflowHandle WorkflowService::Enqueue(const std::string& tenant,
     std::lock_guard lock(mu_);
     ++outstanding_;
   }
-  QueueItem item{ticket, std::move(options)};
+  QueueItem item{ticket, std::move(options), nullptr};
   const AdmitResult admitted = blocking
                                    ? queue_.Push(tenant, std::move(item))
                                    : queue_.TryPush(tenant, std::move(item));

@@ -22,7 +22,11 @@ struct Gen {
 
   explicit Gen(uint64_t seed) : rng(seed) {}
 
-  std::string Fresh() { return "r" + std::to_string(counter++); }
+  std::string Fresh() {
+    std::string name = "r";
+    name += std::to_string(counter++);
+    return name;
+  }
 
   // Removes and returns a uniformly chosen live relation.
   std::string Take() {

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <numeric>
+
 #include "src/relational/csv.h"
 
 namespace musketeer {
@@ -245,6 +250,149 @@ TEST(TableTest, SameContentIgnoresOrder) {
   EXPECT_TRUE(Table::SameContent(a, reversed));
   Table truncated = reversed.Slice(0, reversed.num_rows() - 1);
   EXPECT_FALSE(Table::SameContent(a, truncated));
+}
+
+// The stable-sort SameContent that the hoisted std::sort path (with its
+// Table::Identical early exit) replaced, kept as the oracle: both must give
+// the same verdict on every input, including the awkward cells.
+bool SortPathSameContent(const Table& a, const Table& b) {
+  if (a.num_rows() != b.num_rows() ||
+      a.schema().num_fields() != b.schema().num_fields()) {
+    return false;
+  }
+  auto sorted = [](const Table& t) {
+    std::vector<uint32_t> perm(t.num_rows());
+    std::iota(perm.begin(), perm.end(), 0);
+    std::stable_sort(perm.begin(), perm.end(), [&](uint32_t x, uint32_t y) {
+      return Table::CompareRowsAt(t, x, t, y) < 0;
+    });
+    return perm;
+  };
+  auto cells_close = [](const Column& x, size_t i, const Column& y, size_t j) {
+    bool x_str = x.type() == FieldType::kString;
+    bool y_str = y.type() == FieldType::kString;
+    if (x_str || y_str) {
+      return x_str && y_str && x.strings()[i] == y.strings()[j];
+    }
+    if (x.type() == FieldType::kDouble || y.type() == FieldType::kDouble) {
+      double u = AsDouble(x.ValueAt(i));
+      double v = AsDouble(y.ValueAt(j));
+      return std::abs(u - v) <=
+             1e-9 * std::max({std::abs(u), std::abs(v), 1.0});
+    }
+    return x.ints()[i] == y.ints()[j];
+  };
+  std::vector<uint32_t> pa = sorted(a);
+  std::vector<uint32_t> pb = sorted(b);
+  for (size_t i = 0; i < pa.size(); ++i) {
+    for (size_t c = 0; c < a.num_fields(); ++c) {
+      if (!cells_close(a.col(c), pa[i], b.col(c), pb[i])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+Table KeyedDoubles(const std::vector<double>& values) {
+  Table t(Schema({{"k", FieldType::kInt64}, {"v", FieldType::kDouble}}));
+  for (size_t i = 0; i < values.size(); ++i) {
+    t.AddRow({static_cast<int64_t>(i % 3), values[i]});
+  }
+  return t;
+}
+
+Table Reversed(const Table& t) {
+  std::vector<uint32_t> idx;
+  for (size_t i = t.num_rows(); i > 0; --i) {
+    idx.push_back(static_cast<uint32_t>(i - 1));
+  }
+  return t.Gather(idx);
+}
+
+void ExpectSameVerdict(const Table& a, const Table& b, bool expected) {
+  EXPECT_EQ(SortPathSameContent(a, b), expected);
+  EXPECT_EQ(Table::SameContent(a, b), expected);
+  EXPECT_EQ(Table::SameContent(b, a), expected);
+}
+
+TEST(TableTest, SameContentNaNCellsMatchSortPath) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Table a = KeyedDoubles({1.0, nan, 3.0});
+  // NaN equals nothing, not even itself or an identical copy.
+  ExpectSameVerdict(a, a, false);
+  ExpectSameVerdict(a, Reversed(a), false);
+  ExpectSameVerdict(a, KeyedDoubles({1.0, 2.0, 3.0}), false);
+  Table many = KeyedDoubles({nan, 5.0, nan, nan, -1.0, nan, 2.0});
+  ExpectSameVerdict(many, Reversed(many), false);
+}
+
+TEST(TableTest, SameContentSignedZeroMatchesSortPath) {
+  Table pos = KeyedDoubles({0.0, 1.0, 0.0});
+  Table neg = KeyedDoubles({-0.0, 1.0, -0.0});
+  ExpectSameVerdict(pos, neg, true);
+  ExpectSameVerdict(pos, Reversed(neg), true);
+  Table mixed = KeyedDoubles({-0.0, 0.0, -0.0, 0.0});
+  ExpectSameVerdict(mixed, Reversed(mixed), true);
+}
+
+TEST(TableTest, SameContentInt64VersusDoubleMatchesSortPath) {
+  Table ints(Schema({{"x", FieldType::kInt64}}));
+  Table doubles(Schema({{"x", FieldType::kDouble}}));
+  for (int64_t i : {3, -7, 0, 12, 3}) {
+    ints.AddRow({i});
+    doubles.AddRow({static_cast<double>(i)});
+  }
+  ExpectSameVerdict(ints, doubles, true);
+  ExpectSameVerdict(ints, Reversed(doubles), true);
+  Table nudged(Schema({{"x", FieldType::kDouble}}));
+  for (double d : {3.0, -7.0, 0.0, 12.5, 3.0}) {
+    nudged.AddRow({d});
+  }
+  ExpectSameVerdict(ints, nudged, false);
+  Table strings(Schema({{"x", FieldType::kString}}));
+  for (const char* s : {"3", "-7", "0", "12", "3"}) {
+    strings.AddRow({std::string(s)});
+  }
+  ExpectSameVerdict(ints, strings, false);
+  ExpectSameVerdict(Table(ints.schema()), Table(strings.schema()), true);
+}
+
+TEST(TableTest, SameContentPermutedRowsMatchSortPath) {
+  Schema schema({{"id", FieldType::kInt64},
+                 {"name", FieldType::kString},
+                 {"score", FieldType::kDouble}});
+  Table a(schema);
+  for (int64_t i = 0; i < 40; ++i) {
+    a.AddRow({i % 7, std::string(1, static_cast<char>('a' + i % 5)),
+              static_cast<double>(i % 4) * 0.25});
+  }
+  std::vector<uint32_t> shuffled;
+  for (uint32_t i = 0; i < 40; ++i) {
+    shuffled.push_back((i * 17) % 40);
+  }
+  Table b = a.Gather(shuffled);
+  ExpectSameVerdict(a, b, true);
+  ExpectSameVerdict(a, a, true);
+  Table c = b;
+  c.AddRow({int64_t{0}, std::string("a"), 0.0});
+  Table d = a;
+  d.AddRow({int64_t{0}, std::string("b"), 0.0});
+  ExpectSameVerdict(c, d, false);
+}
+
+TEST(TableTest, SameContentOneUlpApartMatchesSortPath) {
+  const double x = 0.1 + 0.2;
+  const double up = std::nextafter(x, 1.0);
+  const double big = 1e15;
+  const double big_up = std::nextafter(big, 2e15);
+  Table a = KeyedDoubles({x, 5.0, big, -x});
+  Table b = KeyedDoubles({up, 5.0, big_up, std::nextafter(-x, -1.0)});
+  ExpectSameVerdict(a, b, true);
+  ExpectSameVerdict(a, Reversed(b), true);
+  // Beyond the tolerance the verdict flips for both paths.
+  Table far = KeyedDoubles({x + 1e-6, 5.0, big, -x});
+  ExpectSameVerdict(a, far, false);
 }
 
 TEST(TableTest, NominalSizesScale) {

@@ -263,6 +263,90 @@ TEST(VertexRuntimeTest, BatchOperatorsAroundTheLoopWork) {
   EXPECT_TRUE(Table::SameContent(*ref, *result->relations["cc_pagerank"]));
 }
 
+// PageRank over a hand-built graph whose vertex ids are not INT64, so the
+// vertex index takes its generic (hash + equality) path. Edges 0..n-1 form
+// a ring; `dangling` extra edges leave or enter ids that are not vertices.
+struct OddIdGraph {
+  TablePtr vertices;
+  TablePtr edges;
+};
+
+template <typename IdFn, typename EdgeIdFn>
+OddIdGraph MakeOddIdGraph(int n, FieldType id_type, FieldType edge_id_type,
+                          IdFn id, EdgeIdFn edge_id) {
+  auto vertices = std::make_shared<Table>(
+      Schema({{"id", id_type},
+              {"vertex_value", FieldType::kDouble},
+              {"vertex_degree", FieldType::kInt64}}));
+  auto edges = std::make_shared<Table>(
+      Schema({{"src", edge_id_type}, {"dst", edge_id_type}}));
+  for (int i = 0; i < n; ++i) {
+    vertices->AddRow({id(i), 1.0 + 0.01 * i, int64_t{2}});
+    edges->AddRow({edge_id(i), edge_id((i + 1) % n)});
+    edges->AddRow({edge_id(i), edge_id((i * 7 + 3) % n)});
+  }
+  // Dangling: from a missing vertex, and to a missing vertex.
+  edges->AddRow({edge_id(n + 5), edge_id(0)});
+  edges->AddRow({edge_id(1), edge_id(n + 9)});
+  return {vertices, edges};
+}
+
+void ExpectVertexRuntimeMatches(const OddIdGraph& g, int iterations,
+                                bool expect_messages = true) {
+  auto dag = Parse(PageRankBeer(iterations));
+  TableMap base{{"vertices", g.vertices}, {"edges", g.edges}};
+  auto ref = EvaluateDagRelation(*dag, base, "pagerank");
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  auto result = ExecuteViaVertexRuntime(*dag, base);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(Table::SameContent(*ref, *result->relations["pagerank"]))
+      << ref->DebugString() << result->relations["pagerank"]->DebugString();
+  EXPECT_EQ(result->stats.supersteps, iterations);
+  EXPECT_EQ(result->stats.messages_sent > 0, expect_messages);
+}
+
+TEST(VertexRuntimeTest, StringVertexIdsWithDanglingEdges) {
+  auto name = [](int i) { return Value(std::string("v") + std::to_string(i)); };
+  ExpectVertexRuntimeMatches(
+      MakeOddIdGraph(40, FieldType::kString, FieldType::kString, name, name),
+      4);
+}
+
+TEST(VertexRuntimeTest, DoubleVertexIdsWithIntegerEdges) {
+  ExpectVertexRuntimeMatches(
+      MakeOddIdGraph(
+          40, FieldType::kDouble, FieldType::kInt64,
+          [](int i) { return Value(static_cast<double>(i)); },
+          [](int i) { return Value(static_cast<int64_t>(i)); }),
+      3);
+}
+
+TEST(VertexRuntimeTest, IntegerVertexIdsWithDoubleEdges) {
+  // Double edge ids probe the INT64 index through their double view; the
+  // dangling ids are fractional and match nothing.
+  ExpectVertexRuntimeMatches(
+      MakeOddIdGraph(
+          40, FieldType::kInt64, FieldType::kDouble,
+          [](int i) { return Value(static_cast<int64_t>(i)); },
+          [](int i) { return Value(i < 40 ? i : i + 0.5); }),
+      3);
+}
+
+TEST(VertexRuntimeTest, IntegerIdsWithDanglingEdgesOnly) {
+  // Every edge dangles: no messages arrive, so the rejoin drops every vertex.
+  auto vertices = std::make_shared<Table>(
+      Schema({{"id", FieldType::kInt64},
+              {"vertex_value", FieldType::kDouble},
+              {"vertex_degree", FieldType::kInt64}}));
+  auto edges = std::make_shared<Table>(
+      Schema({{"src", FieldType::kInt64}, {"dst", FieldType::kInt64}}));
+  for (int64_t i = 0; i < 10; ++i) {
+    vertices->AddRow({i, 1.0, int64_t{1}});
+    edges->AddRow({i + 100, i});
+  }
+  ExpectVertexRuntimeMatches({vertices, edges}, 2, /*expect_messages=*/false);
+}
+
 TEST(VertexRuntimeTest, IdiomRejectsKmeansDistanceJoin) {
   // Regression: the distance join in k-means reads loop state on both sides;
   // it must not be classified as vertex-centric (it broke the extractor).

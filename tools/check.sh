@@ -13,11 +13,11 @@
 # tests under TSan plus a scripted curl session against a live --listen
 # server covering submit/status/cancel/metrics, a 429 over-quota burst and
 # SIGTERM drain), then the vectorized-kernel gate (Release-build
-# thread-scaling floors in bench_columnar_ops plus the kernel and
-# engine-equivalence tests under TSan at 8 threads), and finally the
-# sharded-execution gate (shard coordinator tests under TSan, a scripted CLI
-# run asserting --shards=3 output is byte-identical to --shards=1 even across
-# a seeded mid-run shard death, and bench_shard_scaling's locality hit-rate /
+# thread-scaling floors in bench_columnar_ops plus the kernel,
+# engine-equivalence and engine-substrate tests under TSan at 8 threads),
+# and finally the sharded-execution gate (shard coordinator tests under
+# TSan, a scripted CLI run asserting --shards=3 output is byte-identical to
+# --shards=1 even across a seeded mid-run shard death, and bench_shard_scaling's locality hit-rate /
 # cross-shard-bytes / no-regression acceptance), and lastly the streaming +
 # incremental gate (relation-channel storms and the pipelined end-to-end
 # sweep under TSan, a scripted CLI run asserting --pipeline=force and
@@ -87,6 +87,10 @@ names = {e["name"] for e in events}
 for stage in ("stage.parse", "stage.optimize", "stage.partition",
               "stage.codegen", "stage.execute"):
     assert stage in names, f"missing span {stage}"
+# Every job splits its wall time into these phase spans.
+for phase in ("job.pull", "job.kernel", "job.substrate", "job.verify",
+              "job.commit"):
+    assert phase in names, f"missing span {phase}"
 for e in events:
     assert e["ph"] == "X" and isinstance(e["ts"], (int, float)), e
 print(f"trace OK: {len(events)} complete event(s)")
@@ -189,6 +193,11 @@ echo "== [8/11] vectorized kernels: Release scaling gate + TSan sweep =="
 MUSKETEER_THREADS=8 "$repo/build-tsan/tests/column_test"
 MUSKETEER_THREADS=8 "$repo/build-tsan/tests/engine_equivalence_test" \
     --gtest_filter='*Parallel*:*RowReference*:*Fused*'
+# The columnar engine substrates: the vertex runtime's scatter and apply
+# morsels share ParallelMapChunks partials, and the timely runtime's
+# stateful operators call the parallel kernels on their buffered batches.
+MUSKETEER_THREADS=8 "$repo/build-tsan/tests/timely_test"
+MUSKETEER_THREADS=8 "$repo/build-tsan/tests/substrates_test"
 
 echo "== [9/11] sharded execution: TSan coordinator tests + CLI bit-identity + scaling gate =="
 # The shard coordinator under ThreadSanitizer: per-shard worker pools execute
