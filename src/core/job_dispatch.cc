@@ -9,6 +9,9 @@
 
 namespace musketeer {
 
+namespace {
+
+// Sleeps for `backoff`, waking every 10ms to honor cancellation/deadline.
 Status BackoffSleep(std::chrono::milliseconds backoff,
                     const ExecutionContext& ctx) {
   auto wake = std::chrono::steady_clock::now() + backoff;
@@ -22,6 +25,10 @@ Status BackoffSleep(std::chrono::milliseconds backoff,
   return ctx.Check();
 }
 
+// The failover choice: cheapest engine among the run's candidates, minus
+// `tried`, that can run `ops` as a single job. Mirrors Plan()'s cost-model
+// construction so failover uses the same cost basis as the original
+// partitioning.
 StatusOr<EngineKind> NextFailoverEngine(const WorkflowSpec& workflow,
                                         const WorkflowPlan& wplan,
                                         const std::vector<int>& ops,
@@ -64,6 +71,8 @@ StatusOr<EngineKind> NextFailoverEngine(const WorkflowSpec& workflow,
   return best;
 }
 
+}  // namespace
+
 StatusOr<JobDispatchOutcome> DispatchJobWithRecovery(
     JobPlan* job, ExecutionContext* ctx, const JobDispatchEnv& env) {
   static Counter& retries_counter =
@@ -73,6 +82,7 @@ StatusOr<JobDispatchOutcome> DispatchJobWithRecovery(
   const WorkflowSpec& workflow = *env.workflow;
   const WorkflowPlan& plan = *env.plan;
   const RunOptions& options = *env.options;
+  const std::vector<int>& job_ops = *env.ops;
   const int max_attempts = std::max(1, ctx->retry.max_attempts);
 
   JobDispatchOutcome out;
@@ -98,7 +108,7 @@ StatusOr<JobDispatchOutcome> DispatchJobWithRecovery(
                                  global_attempt)) {
         ++out.recovery.faults_injected;
       }
-      StatusOr<JobResult> attempt = env.run_attempt(*job, *ctx);
+      StatusOr<JobResult> attempt = env.run_attempt(*job, job_ops, *ctx);
       ++out.recovery.attempts;
       out.recovery.attempt_log.push_back(
           {global_attempt, job->engine,
@@ -128,9 +138,6 @@ StatusOr<JobDispatchOutcome> DispatchJobWithRecovery(
       return Annotate(last_error, "retries exhausted on " +
                                       std::string(EngineKindName(job->engine)));
     }
-    const std::vector<int>& job_ops =
-        env.ops != nullptr ? *env.ops
-                           : plan.partitioning.jobs[env.job_index].ops;
     StatusOr<EngineKind> next = NextFailoverEngine(
         workflow, plan, job_ops, options,
         env.dfs_sizes ? env.dfs_sizes() : RelationSizes{}, tried);

@@ -7,38 +7,25 @@
 // engine remains. Attempt numbers are global across engines so the fault
 // injector's (workflow, job@engine, attempt) key never repeats within a run.
 //
-// Extracted from Musketeer::Execute so the ShardCoordinator reuses the exact
-// same recovery semantics: it supplies a `run_attempt` that routes the
-// attempt to a placed shard's service instead of executing inline, and shard
-// failover composes naturally — a dead shard surfaces as a retryable failure,
-// and the next attempt's run_attempt re-places among the shards still alive.
+// Musketeer::Execute drives every job through it. Each attempt goes through
+// the run's placement hook (a JobAttemptFn), so shard failover composes
+// naturally: a dead shard surfaces as a retryable failure, and the next
+// attempt re-places among the shards still alive.
 
 #ifndef MUSKETEER_SRC_CORE_JOB_DISPATCH_H_
 #define MUSKETEER_SRC_CORE_JOB_DISPATCH_H_
 
-#include <cstddef>
 #include <functional>
 
 #include "src/core/musketeer.h"
 
 namespace musketeer {
 
-// Runs one attempt of `job` (re-planned across failovers; the dispatcher
-// sets ctx.attempt before each call). Retryable error codes (IsRetryable)
-// re-enter the loop; anything else is terminal.
-using JobAttemptFn =
-    std::function<StatusOr<JobResult>(const JobPlan& job,
-                                      const ExecutionContext& ctx)>;
-
 struct JobDispatchEnv {
   const WorkflowSpec* workflow = nullptr;
-  // Plan the job came from: dag/base_schemas drive failover re-planning,
-  // partitioning.jobs[job_index].ops is the job's operator set.
+  // Plan the job came from: dag/base_schemas drive failover re-planning.
   const WorkflowPlan* plan = nullptr;
-  size_t job_index = 0;
-  // Operator set of the job being dispatched. When null, falls back to
-  // plan->partitioning.jobs[job_index].ops. Callers that may have re-planned
-  // mid-run (online re-planning) must point this at the run's own job list:
+  // Operator set of the job being dispatched, from the run's own job list:
   // the shared plan's job boundaries no longer match after a suffix replan.
   const std::vector<int>* ops = nullptr;
   const RunOptions* options = nullptr;
@@ -61,21 +48,6 @@ struct JobDispatchOutcome {
 StatusOr<JobDispatchOutcome> DispatchJobWithRecovery(JobPlan* job,
                                                      ExecutionContext* ctx,
                                                      const JobDispatchEnv& env);
-
-// The failover choice: cheapest engine among the run's candidates, minus
-// `tried`, that can run `ops` as a single job. Mirrors Plan()'s cost-model
-// construction so failover uses the same cost basis as the original
-// partitioning. Exposed for the coordinator's placement re-costing.
-StatusOr<EngineKind> NextFailoverEngine(const WorkflowSpec& workflow,
-                                        const WorkflowPlan& wplan,
-                                        const std::vector<int>& ops,
-                                        const RunOptions& options,
-                                        const RelationSizes& dfs_sizes,
-                                        const std::vector<EngineKind>& tried);
-
-// Sleeps for `backoff`, waking every 10ms to honor cancellation/deadline.
-Status BackoffSleep(std::chrono::milliseconds backoff,
-                    const ExecutionContext& ctx);
 
 }  // namespace musketeer
 

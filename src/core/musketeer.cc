@@ -2,24 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <thread>
+#include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/base/logging.h"
-#include "src/base/parallel.h"
 #include "src/core/job_dispatch.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/stream/relation_channel.h"
 
 namespace musketeer {
 
-namespace {
-
-// Resolves the run's absolute deadline: an explicit absolute point wins,
-// otherwise a non-zero relative budget starts counting now.
 DeadlinePoint EffectiveDeadline(const RunOptions& options) {
   if (options.absolute_deadline.has_value()) {
     return options.absolute_deadline;
@@ -29,6 +21,8 @@ DeadlinePoint EffectiveDeadline(const RunOptions& options) {
   }
   return std::nullopt;
 }
+
+namespace {
 
 ExecutionContext MakeContext(const WorkflowSpec& workflow,
                              const RunOptions& options) {
@@ -164,18 +158,21 @@ StatusOr<WorkflowPlan> Musketeer::Plan(const WorkflowSpec& workflow,
 
 StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
                                        const WorkflowPlan& plan,
-                                       const RunOptions& options) {
+                                       const RunOptions& options,
+                                       const JobAttemptFn& place) {
   RunResult result;
   result.partitioning = plan.partitioning;
   result.plans = plan.plans;
   result.optimizer_stats = plan.optimizer_stats;
   result.partition_strategy = plan.partitioning.strategy;
 
-  // 5. Execution with critical-path scheduling: a job starts when every job
-  // producing one of its inputs has finished; independent jobs overlap.
-  // DFS traffic is attributed to this run with a thread-scoped counter (the
-  // engines record bytes on this thread), so concurrent workflows against
-  // the same DFS do not pollute each other's deltas.
+  // 5. Execution in plan order. Every inter-job relation moves through the
+  // DFS; the simulated makespan is the critical path (a job starts when
+  // every job producing one of its inputs has finished, so independent jobs
+  // overlap in simulated time). DFS traffic is attributed to this run with a
+  // thread-scoped counter: local attempts run on this thread, so concurrent
+  // workflows against the same DFS do not pollute each other's deltas. A
+  // `place` hook that runs attempts elsewhere accounts for their traffic.
   Span exec_span("stage.execute", "stage");
   ScopedDfsRunCounters run_bytes;
   ExecutionContext ctx = MakeContext(workflow, options);
@@ -184,322 +181,37 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
       MetricsRegistry::Global().counter("musketeer.stream.jobs_reused");
   static Counter& recomputed_metric =
       MetricsRegistry::Global().counter("musketeer.stream.jobs_recomputed");
-  static Counter& edges_metric =
-      MetricsRegistry::Global().counter("musketeer.stream.edges_pipelined");
-  static Counter& fallback_metric =
-      MetricsRegistry::Global().counter("musketeer.stream.pipeline_fallbacks");
   static Counter& replans_metric =
       MetricsRegistry::Global().counter("musketeer.execute.replans");
 
-  // Pipeline schedule: which producer→consumer edges skip the DFS barrier
-  // and run over a RelationChannel, and which jobs therefore execute
-  // together as one concurrent group. Edge sizes come from the history store
-  // when available, else from the relation's current DFS incarnation.
-  PipelineSchedule sched;
-  sched.group_of.assign(result.plans.size(), -1);
-  if (options.pipeline != PipelineMode::kOff) {
-    PipelineOptions popts;
-    popts.mode = options.pipeline;
-    popts.channel_capacity = options.pipeline_channel_capacity;
-    popts.batch_rows = options.pipeline_batch_rows;
-    auto size_of = [&](const std::string& relation) -> Bytes {
-      if (options.history != nullptr) {
-        auto bytes = options.history->Lookup(workflow.id, relation);
-        if (bytes.has_value()) {
-          return *bytes;
-        }
-      }
-      auto table = dfs_->Get(relation);
-      return table.ok() ? (*table)->nominal_bytes() : 0;
-    };
-    sched = PlanPipelines(result.plans, plan.sink_relations, popts,
-                          options.cluster, size_of);
-    result.pipelined_edges = static_cast<int>(sched.edges.size());
-    edges_metric.Increment(sched.edges.size());
-  }
+  const JobAttemptFn run_attempt =
+      place ? place
+            : JobAttemptFn([this, &options](const JobPlan& job,
+                                            const std::vector<int>&,
+                                            const ExecutionContext& c) {
+                return ExecuteJob(job, options.cluster, dfs_, c);
+              });
 
   std::unordered_map<std::string, SimSeconds> ready_at;  // relation -> time
   SimSeconds makespan = 0;
   int predicted_jobs = 0;
   double error_sum = 0;
-  // DFS bytes charged on group-member threads (their ScopedDfsRunCounters
-  // cannot propagate into `run_bytes`, which lives on this thread).
-  Bytes extra_read = 0;
-  Bytes extra_written = 0;
-  Bytes extra_remote = 0;
-
-  // Outcome of a job that ran ahead of its fold position (group execution)
-  // or is being skipped entirely (fingerprint reuse).
-  struct Pending {
-    bool reused = false;
-    JobDispatchOutcome outcome;  // valid when !reused
-  };
-  std::unordered_map<size_t, Pending> pending;
-  std::vector<char> group_ran(sched.groups.size(), 0);
-
-  // True when the job may be skipped: recorded fingerprint matches the
-  // current input versions and its outputs sit in the DFS unmodified.
-  auto reusable = [&](size_t i) {
-    if (!options.incremental || options.fingerprints == nullptr) {
-      return false;
-    }
-    const JobPlan& job = result.plans[i];
-    return options.fingerprints->CanReuse(
-        workflow.id, job.name, FingerprintJob(workflow.id, job, *dfs_), *dfs_);
-  };
-
-  // Retry/failover dispatch (src/core/job_dispatch.h): up to max_attempts
-  // per engine; on exhaustion, re-plan onto the next-cheapest capable
-  // engine (when enabled). The shared dispatcher mutates plans[i] on
-  // failover so result.plans[i] records what finally ran.
-  auto dispatch_barrier = [&](size_t i) {
-    JobDispatchEnv env;
-    env.workflow = &workflow;
-    env.plan = &plan;
-    env.job_index = i;
-    // The run's (possibly re-planned) operator set for this job; the shared
-    // plan is immutable, so failover re-costing must read the run's copy.
-    env.ops = &result.partitioning.jobs[i].ops;
-    env.options = &options;
-    env.run_attempt = [&](const JobPlan& j, const ExecutionContext& c) {
-      return ExecuteJob(j, options.cluster, dfs_, c);
-    };
-    env.dfs_sizes = [this] { return DfsSizes(); };
-    return DispatchJobWithRecovery(&result.plans[i], &ctx, env);
-  };
-
-  // Executes one pipeline group: every non-reused member runs on its own
-  // thread, wired together by bounded channels on the scheduled edges. A
-  // member whose concurrent attempt fails falls back to the sequential
-  // barrier dispatcher (channels to/from it resolve via abort/receiver-close,
-  // and its inputs are in the DFS because producers always commit) — so a
-  // pipelined run can degrade but never produce different bytes.
-  auto run_group = [&](const std::vector<size_t>& members) -> Status {
-    // Reuse decisions first, in plan order. A member is only reusable when
-    // its in-group upstream producers are reused too: a recomputing producer
-    // will bump its output versions at commit, which must invalidate this
-    // member exactly like it would in sequential execution.
-    std::unordered_set<size_t> reuse_set;
-    for (size_t m : members) {
-      bool upstream_reused = true;
-      for (const std::string& in : result.plans[m].inputs) {
-        for (size_t p : members) {
-          if (p != m && reuse_set.count(p) == 0 &&
-              std::find(result.plans[p].outputs.begin(),
-                        result.plans[p].outputs.end(),
-                        in) != result.plans[p].outputs.end()) {
-            upstream_reused = false;
-          }
-        }
-      }
-      if (upstream_reused && reusable(m)) {
-        reuse_set.insert(m);
-      }
-    }
-
-    struct LiveRun {
-      size_t index = 0;
-      JobStreamIo io;
-      StatusOr<JobResult> attempt = InternalError("not attempted");
-      Bytes read = 0;
-      Bytes written = 0;
-      Bytes remote = 0;
-    };
-    std::unordered_map<size_t, LiveRun> runs;
-    for (size_t m : members) {
-      if (reuse_set.count(m) == 0) {
-        LiveRun& r = runs[m];
-        r.index = m;
-        r.io.batch_rows = options.pipeline_batch_rows;
-      }
-    }
-
-    // Channels exist only between two live members. Reused producer → live
-    // consumer reads the producer's committed output from the DFS instead.
-    std::vector<std::unique_ptr<RelationChannel>> channels;
-    for (const PipelineEdge& edge : sched.edges) {
-      auto producer = runs.find(edge.producer);
-      auto consumer = runs.find(edge.consumer);
-      if (producer == runs.end() || consumer == runs.end()) {
-        continue;
-      }
-      channels.push_back(std::make_unique<RelationChannel>(
-          edge.relation, options.pipeline_channel_capacity));
-      producer->second.io.outputs[edge.relation] = channels.back().get();
-      consumer->second.io.inputs[edge.relation] = channels.back().get();
-    }
-
-    const bool concurrent = !channels.empty();
-    if (concurrent) {
-      // Group members inherit this thread's kernel parallelism so a
-      // pipelined run honors the same --threads budget as a barrier run.
-      const int width = ParallelThreads();
-      std::vector<std::thread> threads;
-      threads.reserve(runs.size());
-      for (auto& [m, run] : runs) {
-        LiveRun* r = &run;
-        threads.emplace_back([this, r, &result, &options, &ctx, width] {
-          ScopedParallelThreads inherit(width);
-          ScopedDfsRunCounters scope;
-          ExecutionContext attempt_ctx = ctx;
-          attempt_ctx.attempt = 1;
-          r->attempt = ExecuteJob(result.plans[r->index], options.cluster,
-                                  dfs_, attempt_ctx, &r->io);
-          if (!r->attempt.ok()) {
-            // Unblock producers still pushing toward this failed consumer.
-            for (const auto& [relation, channel] : r->io.inputs) {
-              channel->CloseReceiver();
-            }
-          }
-          r->read = scope.bytes_read();
-          r->written = scope.bytes_written();
-          r->remote = scope.bytes_remote_read();
-        });
-      }
-      for (std::thread& t : threads) {
-        t.join();
-      }
-      MUSKETEER_RETURN_IF_ERROR(ctx.Check());
-    }
-
-    for (size_t m : members) {
-      if (reuse_set.count(m) > 0) {
-        pending[m].reused = true;
-        continue;
-      }
-      LiveRun& r = runs[m];
-      if (concurrent && r.attempt.ok()) {
-        extra_read += r.read;
-        extra_written += r.written;
-        extra_remote += r.remote;
-        Pending p;
-        p.outcome.result = std::move(r.attempt).value();
-        p.outcome.recovery.job = result.plans[m].name;
-        p.outcome.recovery.planned_engine = result.plans[m].engine;
-        p.outcome.recovery.final_engine = result.plans[m].engine;
-        p.outcome.recovery.attempts = 1;
-        p.outcome.recovery.attempt_log.push_back(
-            JobAttempt{1, result.plans[m].engine, StatusCode::kOk});
-        pending[m] = std::move(p);
-        continue;
-      }
-      if (concurrent) {
-        MLOG_INFO << "pipelined attempt for '" << result.plans[m].name
-                  << "' failed (" << r.attempt.status().message()
-                  << "); falling back to barrier dispatch";
-        fallback_metric.Increment();
-      }
-      MUSKETEER_ASSIGN_OR_RETURN(JobDispatchOutcome outcome,
-                                 dispatch_barrier(m));
-      Pending p;
-      p.outcome = std::move(outcome);
-      pending[m] = std::move(p);
-    }
-    return OkStatus();
-  };
-
-  // Online re-planning signal (DESIGN.md "Planner at scale"): the most
-  // recently folded job's predicted vs measured wall seconds. Invalid when
-  // that job was reused or no runtime history is attached.
-  double last_predicted = 0;
-  double last_measured = 0;
-  bool last_job_measured = false;
   int replans_done = 0;
+  std::set<int> shards_used;
 
-  // Folds one job's outcome into the result arrays (which stay in plan
-  // order regardless of when the job physically ran).
-  auto fold = [&](size_t i, Pending&& p) {
-    last_job_measured = false;
-    JobPlan& job = result.plans[i];
-    SimSeconds start = 0;
-    for (const std::string& in : job.inputs) {
-      auto it = ready_at.find(in);
-      if (it != ready_at.end()) {
-        start = std::max(start, it->second);
-      }
-    }
-    JobResult jr;
-    if (p.reused) {
-      jr.reused = true;
-      jr.detail = std::string(EngineKindName(job.engine)) + " job '" +
-                  job.name + "': reused (fingerprint match, " +
-                  std::to_string(job.outputs.size()) +
-                  " output(s) served from the DFS)";
-      JobRecovery recovery;
-      recovery.job = job.name;
-      recovery.planned_engine = job.engine;
-      recovery.final_engine = job.engine;
-      result.recovery.push_back(std::move(recovery));
-      ++result.jobs_reused;
-      reused_metric.Increment();
-    } else {
-      jr = std::move(p.outcome.result);
-      result.total_retries += p.outcome.retries;
-      result.total_failovers += p.outcome.failovers;
-      result.total_faults_injected += p.outcome.recovery.faults_injected;
-      result.recovery.push_back(std::move(p.outcome.recovery));
-      if (options.fingerprints != nullptr) {
-        // Record against post-commit versions: that is exactly the state a
-        // later resubmission fingerprints against before dispatching.
-        std::vector<std::pair<std::string, uint64_t>> outputs;
-        outputs.reserve(job.outputs.size());
-        for (const std::string& out : job.outputs) {
-          outputs.emplace_back(out, dfs_->VersionOf(out));
-        }
-        options.fingerprints->Record(workflow.id, job.name,
-                                     FingerprintJob(workflow.id, job, *dfs_),
-                                     std::move(outputs));
-        if (options.incremental) {
-          recomputed_metric.Increment();
-        }
-      }
-    }
-    MLOG_INFO << jr.detail;
-    // Calibration loop: predict this job's wall clock from the runtime
-    // history (best available granularity), then record what actually
-    // happened so the next run predicts better. Reused jobs never ran, so
-    // they neither consume nor contribute calibration signal.
-    if (options.runtime_history != nullptr && !jr.reused) {
-      const std::string engine = EngineKindName(job.engine);
-      const std::string signature = job.name + "@" + engine;
-      double predicted = options.runtime_history->PredictWallSeconds(
-          workflow.id, signature, engine, jr.makespan);
-      result.predicted_wall_seconds += predicted;
-      result.measured_wall_seconds += jr.wall_seconds;
-      error_sum += std::abs(predicted - jr.wall_seconds) /
-                   std::max(jr.wall_seconds, 1e-9);
-      ++predicted_jobs;
-      options.runtime_history->RecordJob(workflow.id, signature, engine,
-                                         jr.makespan, jr.wall_seconds);
-      last_predicted = predicted;
-      last_measured = jr.wall_seconds;
-      last_job_measured = true;
-    }
-    SimSeconds finish = start + jr.makespan;
-    for (const std::string& out : job.outputs) {
-      ready_at[out] = finish;
-    }
-    makespan = std::max(makespan, finish);
-    result.total_engine_time += jr.makespan;
-    result.stream_batches += jr.stream_batches_out;
-    result.stream_bytes += jr.stream_bytes_out;
-    result.job_results.push_back(std::move(jr));
-  };
-
-  // Mid-run suffix re-planning: when the job just folded mispredicted by
+  // Mid-run suffix re-planning: when job i mispredicted its wall time by
   // more than the configured ratio, re-partition every not-yet-run job's
   // operators with the freshly recalibrated cost model and splice the new
   // jobs into the run's plan tail. The shared WorkflowPlan is never touched
   // (it may sit in the service's plan cache); only this run's copies change.
   // Regrouping moves job boundaries, not operator semantics, so outputs stay
   // bit-identical to a non-replanned run (asserted by planner_scale_test).
-  auto maybe_replan = [&](size_t i) {
-    if (options.planner.replan_threshold <= 0 || !last_job_measured ||
-        options.runtime_history == nullptr || plan.dag == nullptr ||
+  auto maybe_replan = [&](size_t i, double predicted, double measured) {
+    if (options.planner.replan_threshold <= 0 || plan.dag == nullptr ||
         replans_done >= std::max(0, options.planner.max_replans)) {
       return;
     }
-    if (RuntimeHistory::ErrorRatio(last_predicted, last_measured) <=
+    if (RuntimeHistory::ErrorRatio(predicted, measured) <=
         options.planner.replan_threshold) {
       return;
     }
@@ -509,11 +221,6 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
     }
     std::vector<int> ops;
     for (size_t j = i + 1; j < result.plans.size(); ++j) {
-      // Jobs that already ran ahead (pipeline groups) or will be reused are
-      // committed; re-planning would execute their operators twice.
-      if (pending.count(j) > 0 || sched.group_of[j] >= 0) {
-        return;
-      }
       const std::vector<int>& job_ops = result.partitioning.jobs[j].ops;
       ops.insert(ops.end(), job_ops.begin(), job_ops.end());
     }
@@ -547,7 +254,7 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
     MLOG_INFO << "re-planning " << remaining << " remaining job(s) of '"
               << workflow.id << "' into " << new_plans.size()
               << " (prediction off by "
-              << RuntimeHistory::ErrorRatio(last_predicted, last_measured)
+              << RuntimeHistory::ErrorRatio(predicted, measured)
               << "x, threshold " << options.planner.replan_threshold << ")";
     result.partitioning.jobs.resize(i + 1);
     for (JobAssignment& job : repart->jobs) {
@@ -557,50 +264,126 @@ StatusOr<RunResult> Musketeer::Execute(const WorkflowSpec& workflow,
     for (JobPlan& jp : new_plans) {
       result.plans.push_back(std::move(jp));
     }
-    sched.group_of.assign(result.plans.size(), -1);
     ++result.replans;
     ++replans_done;
     replans_metric.Increment();
   };
 
   for (size_t i = 0; i < result.plans.size(); ++i) {
-    if (pending.count(i) == 0) {
-      const int g = sched.group_of[i];
-      if (g >= 0 && !group_ran[static_cast<size_t>(g)]) {
-        group_ran[static_cast<size_t>(g)] = 1;
-        MUSKETEER_RETURN_IF_ERROR(run_group(sched.groups[static_cast<size_t>(g)]));
+    JobPlan& job = result.plans[i];
+    SimSeconds start = 0;
+    for (const std::string& in : job.inputs) {
+      auto it = ready_at.find(in);
+      if (it != ready_at.end()) {
+        start = std::max(start, it->second);
       }
     }
-    auto it = pending.find(i);
-    if (it != pending.end()) {
-      Pending p = std::move(it->second);
-      pending.erase(it);
-      fold(i, std::move(p));
-      maybe_replan(i);
-      continue;
+
+    // Incremental reuse: the recorded fingerprint matches the current input
+    // versions and the job's outputs sit in the DFS unmodified. Versions are
+    // namespace-global, so a shard-failover re-put invalidates reuse exactly
+    // like an overwrite does on one node.
+    JobResult jr;
+    if (options.incremental && options.fingerprints != nullptr &&
+        options.fingerprints->CanReuse(workflow.id, job.name,
+                                       FingerprintJob(workflow.id, job, *dfs_),
+                                       *dfs_)) {
+      jr.reused = true;
+      jr.internal_jobs = 0;
+      jr.detail = std::string(EngineKindName(job.engine)) + " job '" +
+                  job.name + "': reused (fingerprint match, " +
+                  std::to_string(job.outputs.size()) +
+                  " output(s) served from the DFS)";
+      JobRecovery recovery;
+      recovery.job = job.name;
+      recovery.planned_engine = job.engine;
+      recovery.final_engine = job.engine;
+      result.recovery.push_back(std::move(recovery));
+      ++result.jobs_reused;
+      reused_metric.Increment();
+    } else {
+      // Retry/failover dispatch (src/core/job_dispatch.h): up to
+      // max_attempts per engine; on exhaustion, re-plan onto the
+      // next-cheapest capable engine (when enabled). The dispatcher replaces
+      // `job` on failover so result.plans[i] records what finally ran.
+      JobDispatchEnv env;
+      env.workflow = &workflow;
+      env.plan = &plan;
+      env.ops = &result.partitioning.jobs[i].ops;
+      env.options = &options;
+      env.run_attempt = run_attempt;
+      env.dfs_sizes = [this] { return DfsSizes(); };
+      MUSKETEER_ASSIGN_OR_RETURN(JobDispatchOutcome outcome,
+                                 DispatchJobWithRecovery(&job, &ctx, env));
+      jr = std::move(outcome.result);
+      result.total_retries += outcome.retries;
+      result.total_failovers += outcome.failovers;
+      result.total_faults_injected += outcome.recovery.faults_injected;
+      result.recovery.push_back(std::move(outcome.recovery));
+      if (options.fingerprints != nullptr) {
+        // Record against post-commit versions: that is exactly the state a
+        // later resubmission fingerprints against before dispatching.
+        std::vector<std::pair<std::string, uint64_t>> outputs;
+        outputs.reserve(job.outputs.size());
+        for (const std::string& out : job.outputs) {
+          outputs.emplace_back(out, dfs_->VersionOf(out));
+        }
+        options.fingerprints->Record(workflow.id, job.name,
+                                     FingerprintJob(workflow.id, job, *dfs_),
+                                     std::move(outputs));
+        if (options.incremental) {
+          recomputed_metric.Increment();
+        }
+      }
     }
-    if (reusable(i)) {
-      Pending p;
-      p.reused = true;
-      fold(i, std::move(p));
-      continue;
+    MLOG_INFO << jr.detail;
+    if (jr.shard >= 0) {
+      shards_used.insert(jr.shard);
     }
-    MUSKETEER_ASSIGN_OR_RETURN(JobDispatchOutcome outcome, dispatch_barrier(i));
-    Pending p;
-    p.outcome = std::move(outcome);
-    fold(i, std::move(p));
-    maybe_replan(i);
+
+    // Calibration loop: predict this job's wall clock from the runtime
+    // history (best available granularity), then record what actually
+    // happened so the next run predicts better. Reused jobs never ran, so
+    // they neither consume nor contribute calibration signal.
+    bool measured = false;
+    double predicted = 0;
+    const double wall = jr.wall_seconds;
+    if (options.runtime_history != nullptr && !jr.reused) {
+      const std::string engine = EngineKindName(job.engine);
+      const std::string signature = job.name + "@" + engine;
+      predicted = options.runtime_history->PredictWallSeconds(
+          workflow.id, signature, engine, jr.makespan);
+      result.predicted_wall_seconds += predicted;
+      result.measured_wall_seconds += wall;
+      error_sum += std::abs(predicted - wall) / std::max(wall, 1e-9);
+      ++predicted_jobs;
+      options.runtime_history->RecordJob(workflow.id, signature, engine,
+                                         jr.makespan, wall);
+      measured = true;
+    }
+    SimSeconds finish = start + jr.makespan;
+    for (const std::string& out : job.outputs) {
+      ready_at[out] = finish;
+    }
+    makespan = std::max(makespan, finish);
+    result.total_engine_time += jr.makespan;
+    result.job_results.push_back(std::move(jr));
+    // Last: a re-plan reallocates result.plans, invalidating `job`.
+    if (measured) {
+      maybe_replan(i, predicted, wall);
+    }
   }
   result.makespan = makespan;
-  result.dfs_bytes_read = run_bytes.bytes_read() + extra_read;
-  result.dfs_bytes_written = run_bytes.bytes_written() + extra_written;
-  result.dfs_bytes_remote_read = run_bytes.bytes_remote_read() + extra_remote;
+  result.dfs_bytes_read = run_bytes.bytes_read();
+  result.dfs_bytes_written = run_bytes.bytes_written();
+  result.dfs_bytes_remote_read = run_bytes.bytes_remote_read();
   if (predicted_jobs > 0) {
     result.cost_model_error = error_sum / predicted_jobs;
   }
   if (exec_span.active()) {
     exec_span.SetAttr("workflow", workflow.id);
     exec_span.SetAttr("jobs", std::to_string(result.plans.size()));
+    exec_span.SetAttr("shards", std::to_string(shards_used.size()));
   }
 
   // 6. Collect the workflow's sink relations.

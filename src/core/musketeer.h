@@ -27,6 +27,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,7 +41,6 @@
 #include "src/scheduler/decision_tree.h"
 #include "src/scheduler/partition_strategy.h"
 #include "src/stream/fingerprint.h"
-#include "src/stream/pipeline.h"
 
 namespace musketeer {
 
@@ -90,16 +90,7 @@ struct RunOptions {
   // pass CancelToken::Make() and keep a copy to be able to cancel.
   CancelToken cancel;
 
-  // ---- Streaming & incremental execution (DESIGN.md section of the same
-  // name) ----
-  // Pipelined job-to-job handoff: kAuto streams pipeline-safe edges that win
-  // on cost (barrier DFS write+read vs channel handoff), kForce streams every
-  // safe edge, kOff keeps the seed's full materialization barrier. Results
-  // stay Table::Identical across modes. The sharded coordinator ignores this
-  // (jobs live in different placement domains) and keeps the barrier plane.
-  PipelineMode pipeline = PipelineMode::kOff;
-  size_t pipeline_batch_rows = 8192;
-  size_t pipeline_channel_capacity = 4;
+  // ---- Incremental execution (DESIGN.md section of the same name) ----
   // Fingerprint store (when non-null): Execute() records a per-job input
   // fingerprint after every successful job. With `incremental` also set, a
   // job whose fingerprint matches the store and whose recorded outputs still
@@ -175,17 +166,27 @@ struct RunResult {
   int total_retries = 0;          // failed attempts that were retried
   int total_failovers = 0;        // engine switches after retry exhaustion
   int total_faults_injected = 0;  // injected (not organic) attempt failures
-  // Streaming & incremental accounting (src/stream/).
-  int pipelined_edges = 0;   // inter-job edges that ran over a channel
-  int jobs_reused = 0;       // jobs skipped on a fingerprint match
-  uint64_t stream_batches = 0;  // batches handed off over channels
-  Bytes stream_bytes = 0;       // nominal bytes that skipped the DFS barrier
+  int jobs_reused = 0;  // jobs skipped on a fingerprint match
   // Planner accounting (DESIGN.md "Planner at scale"): the registry name of
   // the strategy that produced the partitioning, and how many times Execute
   // re-partitioned the remaining DAG suffix after a misprediction.
   std::string partition_strategy;
   int replans = 0;
 };
+
+// Runs one attempt of `job`, wherever the executor places it. `ops` is the
+// job's operator set in this run (a mid-run re-plan moves job boundaries, so
+// the shared plan's sets may no longer match). The retry dispatcher sets
+// ctx.attempt before each call; retryable error codes (IsRetryable) re-enter
+// its loop, anything else is terminal.
+using JobAttemptFn = std::function<StatusOr<JobResult>(
+    const JobPlan& job, const std::vector<int>& ops,
+    const ExecutionContext& ctx)>;
+
+// The run's absolute deadline: an explicit absolute point wins, otherwise a
+// non-zero relative budget starts counting now. Run() pins it once so a
+// relative budget spans Plan + Execute.
+DeadlinePoint EffectiveDeadline(const RunOptions& options);
 
 class Musketeer {
  public:
@@ -200,11 +201,15 @@ class Musketeer {
   StatusOr<WorkflowPlan> Plan(const WorkflowSpec& workflow,
                               const RunOptions& options = {}) const;
 
-  // Back half: executes a previously built plan's jobs against the DFS with
-  // critical-path scheduling, collects sinks and records history.
+  // Back half: executes a previously built plan's jobs in plan order with
+  // critical-path makespan accounting, reuses fingerprint-matched jobs,
+  // re-plans the suffix after a misprediction, collects sinks and records
+  // history. `place` runs each job attempt; empty means ExecuteJob on this
+  // DFS. The ShardCoordinator passes a hook that places attempts on shards.
   StatusOr<RunResult> Execute(const WorkflowSpec& workflow,
                               const WorkflowPlan& plan,
-                              const RunOptions& options = {});
+                              const RunOptions& options = {},
+                              const JobAttemptFn& place = nullptr);
 
   // Full pipeline: parse, optimize, partition, generate, execute.
   StatusOr<RunResult> Run(const WorkflowSpec& workflow,

@@ -36,7 +36,7 @@ class NetClient {
   StatusOr<HttpResponseParser::Response> Request(const HttpRequest& request);
 
   struct SubmitOptions {
-    std::string tenant;       // "" = default tenant
+    std::string tenant{};     // "" = default tenant
     std::string workflow_id = "net-anon";
     std::string language = "beer";
     int64_t deadline_ms = 0;  // 0 = service default

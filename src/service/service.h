@@ -158,7 +158,7 @@ struct ServiceConfig {
   size_t plan_cache_capacity = 128;
   // Applied to every submission that does not carry its own RunOptions.
   // `default_options.history` is how the shared HistoryStore is plumbed in.
-  RunOptions default_options;
+  RunOptions default_options{};
   // Intra-query parallelism per worker: each worker thread runs its
   // workflows' data-plane kernels at this width. 0 inherits the process
   // default (MUSKETEER_THREADS env, else hardware concurrency).
@@ -174,9 +174,9 @@ struct ServiceConfig {
   // Admission/scheduling policy for tenants not named in `tenant_quotas`.
   // The default (weight 1, no caps) makes a single anonymous tenant behave
   // exactly like the pre-tenant FIFO service.
-  TenantQuota default_quota;
+  TenantQuota default_quota{};
   // Per-tenant weighted-fair-share and admission bounds (see fair_queue.h).
-  std::vector<std::pair<std::string, TenantQuota>> tenant_quotas;
+  std::vector<std::pair<std::string, TenantQuota>> tenant_quotas{};
 };
 
 // Per-tenant slice of the service counters, keyed by tenant id in
@@ -197,13 +197,8 @@ struct ServiceStats {
   uint64_t cancelled = 0;  // CANCELLED
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
-  // Streaming & incremental aggregates over completed runs (src/stream/):
-  // fingerprint-reused jobs, edges that ran pipelined, and the batch/byte
-  // volume that moved over channels instead of the DFS barrier.
+  // Fingerprint-reused jobs across completed runs (incremental execution).
   uint64_t jobs_reused = 0;
-  uint64_t pipelined_edges = 0;
-  uint64_t stream_batches = 0;
-  Bytes stream_bytes = 0;
   // Mid-run suffix re-partitions across completed runs (DESIGN.md "Planner
   // at scale").
   uint64_t replans = 0;

@@ -17,11 +17,15 @@
 //   - kRandom: seeded hash of the job name — the locality-blind control arm
 //     bench_shard_scaling compares against.
 //
-// Dispatch rides the PR 5 recovery loop (src/core/job_dispatch.h): per-engine
-// retries, cross-engine failover — and, new here, next-cheapest-shard
-// failover. A dead shard (DrainShard, or the seeded shard-fault config)
-// surfaces as a retryable kUnavailable; the re-attempt re-places among the
-// shards still alive, which the cost ranking makes the next-cheapest choice.
+// Run() is Musketeer::Plan plus the same Musketeer::Execute an unsharded run
+// uses; the only difference is Execute's per-attempt placement hook, which
+// here places the attempt on a shard instead of running it inline. Reuse,
+// re-planning, sink collection and history recording are therefore shared.
+// Dispatch rides the recovery loop (src/core/job_dispatch.h): per-engine
+// retries, cross-engine failover — and next-cheapest-shard failover. A dead
+// shard (DrainShard, or the seeded shard-fault config) surfaces as a
+// retryable kUnavailable; the re-attempt re-places among the shards still
+// alive, which the cost ranking makes the next-cheapest choice.
 // The dead shard's DFS partition survives (the HDFS-replication stand-in):
 // reads fall back to a directory-repairing scan, so results stay
 // Table::Identical to the 1-shard run even across failovers.
@@ -36,7 +40,6 @@
 #include <vector>
 
 #include "src/cluster/sharded_dfs.h"
-#include "src/core/job_dispatch.h"
 #include "src/core/musketeer.h"
 #include "src/scheduler/placement.h"
 #include "src/service/service.h"
@@ -102,10 +105,10 @@ class ShardCoordinator {
   CoordinatorStats stats() const;
 
  private:
-  // One dispatch attempt: place `job` (whose operator set is `ops` — the
-  // run's possibly re-planned set, not the shared plan's), route it to the
-  // placed shard's service, harvest the per-job DFS byte deltas into the
-  // run totals.
+  // The placement hook: place `job` (whose operator set is `ops` — the
+  // run's possibly re-planned set, not the shared plan's), route the attempt
+  // to the placed shard's service, and add the DFS bytes it moved on the
+  // shard's worker thread to `bytes->dfs_bytes_*`.
   StatusOr<JobResult> DispatchAttempt(const WorkflowPlan& plan,
                                       const std::vector<int>& ops,
                                       const JobPlan& job,
@@ -113,7 +116,7 @@ class ShardCoordinator {
                                       const RunOptions& options,
                                       const CostModel& model,
                                       const std::vector<Bytes>& sizes,
-                                      RunResult* result);
+                                      RunResult* bytes);
 
   std::vector<int> AliveShardsLocked() const;  // requires mu_
   void KillShardLocked(int shard);             // requires mu_

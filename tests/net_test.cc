@@ -170,7 +170,7 @@ TEST(NetServerTest, TwoTenantsEndToEndMatchInProcessRun) {
     std::string tenant;
     WorkflowSpec spec;
     uint64_t ticket = 0;
-    TableMap tables;
+    TableMap tables{};
   };
   std::vector<TenantRun> runs = {{"alice", JoinSpec()},
                                  {"bob", ShopperSpec()}};

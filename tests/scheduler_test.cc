@@ -1,7 +1,6 @@
 // Scheduler tests: size prediction with and without history, job costing,
 // the DP heuristic vs. exhaustive search, and the decision-tree baseline.
 
-#include "src/scheduler/partitioner.h"
 
 #include <cstdio>
 
@@ -9,6 +8,7 @@
 
 #include "src/frontends/frontend.h"
 #include "src/scheduler/decision_tree.h"
+#include "src/scheduler/partition_strategy.h"
 #include "src/scheduler/placement.h"
 #include "src/workloads/workflows.h"
 

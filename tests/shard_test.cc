@@ -79,6 +79,16 @@ TEST_P(ShardEquivalenceTest, AnyShardCountMatchesUnshardedBitIdentical) {
         expected, *run.result->outputs[setup.result_relation]))
         << WfName(GetParam()) << " diverged from the unsharded run at M="
         << shards;
+    // Same plan, same fold: the simulated accounting matches too.
+    EXPECT_EQ(run.result->makespan, baseline->makespan) << "M=" << shards;
+    EXPECT_EQ(run.result->total_engine_time, baseline->total_engine_time)
+        << "M=" << shards;
+    ASSERT_EQ(run.result->job_results.size(), baseline->job_results.size());
+    ASSERT_EQ(run.result->plans.size(), baseline->plans.size());
+    for (size_t i = 0; i < baseline->plans.size(); ++i) {
+      EXPECT_EQ(run.result->plans[i].name, baseline->plans[i].name);
+      EXPECT_EQ(run.result->plans[i].engine, baseline->plans[i].engine);
+    }
 
     uint64_t landed = 0;
     for (uint64_t jobs : run.stats.jobs_per_shard) {

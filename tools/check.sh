@@ -4,7 +4,7 @@
 # concurrency stresses), then an AddressSanitizer+UBSan build (the columnar
 # data plane's typed vectors and index gathers are exactly where an
 # off-by-one becomes heap corruption), then a Release build with assertions
-# kept live, then the observability gate (instrumentation overhead budget +
+# kept live and warnings as errors, then the observability gate (instrumentation overhead budget +
 # an end-to-end CLI run whose --trace-out file must parse as Chrome
 # trace-event JSON), and finally the fault-tolerance gate (the concurrency
 # and cancellation fault tests under TSan, a seeded fault-sweep CLI run that
@@ -18,11 +18,10 @@
 # and finally the sharded-execution gate (shard coordinator tests under
 # TSan, a scripted CLI run asserting --shards=3 output is byte-identical to
 # --shards=1 even across a seeded mid-run shard death, and bench_shard_scaling's locality hit-rate /
-# cross-shard-bytes / no-regression acceptance), and lastly the streaming +
-# incremental gate (relation-channel storms and the pipelined end-to-end
-# sweep under TSan, a scripted CLI run asserting --pipeline=force and
-# --incremental output is byte-identical to --pipeline=off, and
-# bench_stream_pipeline's pipelined-speedup / reused-job acceptance), and
+# cross-shard-bytes / no-regression acceptance), and lastly the incremental
+# execution gate (the incremental reuse tests under TSan, a scripted CLI run
+# asserting --incremental output is byte-identical to a plain run, and
+# bench_incremental's reused-job / delta-identity acceptance), and
 # finally the planner-at-scale gate (the forced re-planning sweep under
 # TSan, a scripted CLI run asserting every --partitioner choice produces
 # byte-identical output, and bench_partitioner_scale's 250 ms planning
@@ -51,9 +50,11 @@ cmake -S "$repo" -B "$repo/build-asan" -DMUSKETEER_SANITIZE=address >/dev/null
 cmake --build "$repo/build-asan" -j "$jobs"
 ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs"
 
-echo "== [4/11] Release-with-assertions build + tests =="
+echo "== [4/11] Release-with-assertions build (-Werror) + tests =="
+# -Werror: src/, tests and benches build warning-free; a new warning fails
+# the gate instead of piling up.
 cmake -S "$repo" -B "$repo/build-relassert" -DCMAKE_BUILD_TYPE=Release \
-      -DMUSKETEER_KEEP_ASSERTS=ON >/dev/null
+      -DMUSKETEER_KEEP_ASSERTS=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "$repo/build-relassert" -j "$jobs"
 ctest --test-dir "$repo/build-relassert" --output-on-failure -j "$jobs"
 
@@ -229,36 +230,25 @@ grep -q "sharding: 3 shard(s)" "$obs_tmp/shard3_out.txt"
 # BENCH_shard_scaling.json.
 (cd "$repo/build" && ./bench/bench_shard_scaling)
 
-echo "== [10/11] streaming + incremental: TSan channel storms + CLI pipeline bit-identity + bench gate =="
-# The relation channels under ThreadSanitizer: concurrent producer/consumer
-# pairs hammer push/pop/close/abort while the counters are read, plus the
-# pipelined end-to-end sweep where group members execute in their own
-# threads against the shared DFS.
-"$repo/build-tsan/tests/stream_test" \
-    --gtest_filter='RelationChannelTest.*:StreamExecutionTest.*'
+echo "== [10/11] incremental execution: TSan reuse tests + CLI bit-identity + bench gate =="
+# Fingerprint reuse under ThreadSanitizer: in-process, through the service's
+# worker pool, and across shard worker threads (including a mid-run shard
+# death), every delta run must match a cold run bit for bit.
+"$repo/build-tsan/tests/stream_test" --gtest_filter='*Incremental*'
 
-# Scripted CLI bit-identity: --pipeline=force must produce byte-identical
-# output to --pipeline=off, and must report streamed batches; --incremental
-# alone (fresh process, no prior fingerprints) must still produce the same
-# bytes.
+# Scripted CLI bit-identity: --incremental (fresh process, no prior
+# fingerprints) must produce byte-identical output to a plain run.
 (cd "$obs_tmp" && "$repo/build/tools/musketeer" \
     --input=lhs=lhs.csv:id:int,v:int --input=rhs=rhs.csv:id:int,w:int \
-    --output=joined=pipe_off.csv --pipeline=off tiny.beer > pipe_off_out.txt)
+    --output=joined=inc_off.csv tiny.beer > inc_off_out.txt)
 (cd "$obs_tmp" && "$repo/build/tools/musketeer" \
     --input=lhs=lhs.csv:id:int,v:int --input=rhs=rhs.csv:id:int,w:int \
-    --output=joined=pipe_force.csv --pipeline=force tiny.beer > pipe_force_out.txt)
-(cd "$obs_tmp" && "$repo/build/tools/musketeer" \
-    --input=lhs=lhs.csv:id:int,v:int --input=rhs=rhs.csv:id:int,w:int \
-    --output=joined=pipe_inc.csv --incremental tiny.beer > pipe_inc_out.txt)
-cmp "$obs_tmp/pipe_off.csv" "$obs_tmp/pipe_force.csv"
-cmp "$obs_tmp/pipe_off.csv" "$obs_tmp/pipe_inc.csv"
+    --output=joined=inc_on.csv --incremental tiny.beer > inc_on_out.txt)
+cmp "$obs_tmp/inc_off.csv" "$obs_tmp/inc_on.csv"
 
-# Pipelined-vs-barrier wall clock and incremental reuse gates (hardware-
-# aware: >= 1.2x on >= 4 cores, no-regression on smaller hosts; the delta
-# run must reuse >= 1 job and match the cold bits). Release tree — the
-# overlap ratios in a -O0 build are not the numbers we ship. Writes
-# BENCH_stream_pipeline.json.
-(cd "$repo/build-relassert" && ./bench/bench_stream_pipeline)
+# Incremental reuse gate: after a 1% append the delta run must reuse >= 1
+# job and match the cold bits. Writes BENCH_incremental.json.
+(cd "$repo/build-relassert" && ./bench/bench_incremental)
 
 echo "== [11/11] planner at scale: TSan re-planning sweep + CLI strategy selection + latency gate =="
 # The online re-planning sweep under ThreadSanitizer: forced mid-run
