@@ -59,7 +59,7 @@ StatusOr<JobExtraction> ExtractJobDag(const Dag& dag, const std::vector<int>& op
 
   // Outputs: operators consumed outside the set, or workflow sinks.
   for (int id : sorted) {
-    std::vector<int> consumers = dag.ConsumersOf(id);
+    const std::vector<int>& consumers = dag.ConsumersOf(id);
     bool external = consumers.empty();
     for (int c : consumers) {
       external = external || opset.count(c) == 0;
@@ -105,15 +105,7 @@ class EngineBackend : public Backend {
       return std::get<BlackBoxParams>(n.params).backend == name();
     }
     if (traits_.graph_only) {
-      if (n.kind != OpKind::kWhile) {
-        return false;
-      }
-      for (const GraphIdiomMatch& m : DetectGraphIdioms(dag)) {
-        if (m.while_node == node_id && m.vertex_centric) {
-          return true;
-        }
-      }
-      return false;
+      return IsGraphIdiom(dag, node_id);
     }
     return true;
   }
@@ -152,7 +144,7 @@ class EngineBackend : public Backend {
     }
     MUSKETEER_ASSIGN_OR_RETURN(JobExtraction extraction, ExtractJobDag(dag, ops));
     // Type-check the job against the base schemas before shipping it.
-    MUSKETEER_RETURN_IF_ERROR(ValidateSchemas(*extraction.dag, dag, base));
+    MUSKETEER_RETURN_IF_ERROR(ValidateSchemas(extraction, dag, base));
 
     JobPlan plan;
     plan.engine = traits_.kind;
@@ -211,20 +203,33 @@ class EngineBackend : public Backend {
   }
 
  private:
-  // Checks the job dag's schemas resolve; job INPUT relations may come from
-  // the base map or from other jobs (outer node outputs).
-  static Status ValidateSchemas(const Dag& job, const Dag& outer,
+  // Checks the job dag's schemas resolve. A job INPUT relation takes the
+  // schema of the outer node producing it, else the base (DFS) schema; WHILE
+  // bodies in the job fall through to the base map for anything else. Only
+  // the job's own inputs are bound, and only the outer prefix up to their
+  // last producer is inferred (node ids are topological, so the prefix holds
+  // every ancestor), so validating every job of a plan stays near-linear in
+  // the outer DAG rather than quadratic.
+  static Status ValidateSchemas(const JobExtraction& job, const Dag& outer,
                                 const SchemaMap& base) {
-    SchemaMap extended = base;
-    if (!outer.nodes().empty()) {
-      auto outer_schemas = outer.InferSchemas(base);
-      if (outer_schemas.ok()) {
-        for (const OperatorNode& n : outer.nodes()) {
-          extended[n.output] = (*outer_schemas)[n.id];
-        }
+    std::vector<int> producers;
+    int prefix = 0;
+    for (const std::string& rel : job.inputs) {
+      producers.push_back(outer.ProducerOf(rel));
+      prefix = std::max(prefix, producers.back() + 1);
+    }
+    const SchemaScope base_scope{.names = &base};
+    MUSKETEER_ASSIGN_OR_RETURN(std::vector<Schema> outer_schemas,
+                               outer.InferSchemas(base_scope, prefix));
+    SchemaMap inputs;
+    for (size_t i = 0; i < producers.size(); ++i) {
+      if (producers[i] >= 0) {
+        inputs[job.inputs[i]] = outer_schemas[producers[i]];
       }
     }
-    return job.InferSchemas(extended).status();
+    return job.dag
+        ->InferSchemas(SchemaScope{.names = &inputs, .outer = &base_scope})
+        .status();
   }
 
   BackendTraits traits_;

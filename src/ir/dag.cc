@@ -1,5 +1,6 @@
 #include "src/ir/dag.h"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_set>
 
@@ -269,33 +270,53 @@ Status Dag::Validate() const {
   return OkStatus();
 }
 
+const Schema* SchemaScope::Find(const std::string& name) const {
+  for (const SchemaScope* s = this; s != nullptr; s = s->outer) {
+    auto it = s->names->find(name);
+    if (it != s->names->end()) {
+      return &it->second;
+    }
+  }
+  return nullptr;
+}
+
 StatusOr<std::vector<Schema>> Dag::InferSchemas(const SchemaMap& base) const {
-  std::vector<Schema> schemas(nodes_.size());
-  for (const OperatorNode& n : nodes_) {
+  return InferSchemas(SchemaScope{.names = &base});
+}
+
+StatusOr<std::vector<Schema>> Dag::InferSchemas(const SchemaScope& scope,
+                                               int num_nodes) const {
+  const size_t count =
+      num_nodes < 0 ? nodes_.size()
+                    : std::min(nodes_.size(), static_cast<size_t>(num_nodes));
+  std::vector<Schema> schemas(count);
+  for (size_t id = 0; id < count; ++id) {
+    const OperatorNode& n = nodes_[id];
     if (n.kind == OpKind::kInput) {
       const auto& p = std::get<InputParams>(n.params);
-      auto it = base.find(p.relation);
-      if (it == base.end()) {
+      const Schema* found = scope.Find(p.relation);
+      if (found == nullptr) {
         return NotFoundError("base relation '" + p.relation + "' has no schema");
       }
-      schemas[n.id] = it->second;
+      schemas[n.id] = *found;
       continue;
     }
     if (n.kind == OpKind::kWhile) {
       const auto& p = std::get<WhileParams>(n.params);
-      // Body base schemas: outer base relations, plus loop-carried bindings
-      // seeded from the WHILE node's own inputs (positional).
-      SchemaMap body_base = base;
+      // Body scope: loop-carried bindings seeded from the WHILE node's own
+      // inputs (positional) over the enclosing scope.
+      SchemaMap bindings;
       for (size_t i = 0; i < p.bindings.size(); ++i) {
-        body_base[p.bindings[i].loop_input] = schemas[n.inputs[i]];
+        bindings[p.bindings[i].loop_input] = schemas[n.inputs[i]];
       }
       // Non-binding extra inputs are visible under their producing relation
       // names (loop-invariant relations such as the edge list).
       for (size_t i = p.bindings.size(); i < n.inputs.size(); ++i) {
-        body_base[nodes_[n.inputs[i]].output] = schemas[n.inputs[i]];
+        bindings[nodes_[n.inputs[i]].output] = schemas[n.inputs[i]];
       }
       MUSKETEER_ASSIGN_OR_RETURN(std::vector<Schema> body_schemas,
-                                 p.body->InferSchemas(body_base));
+                                 p.body->InferSchemas(SchemaScope{
+                                     .names = &bindings, .outer = &scope}));
       // Loop-carried schemas must be stable across iterations.
       for (size_t i = 0; i < p.bindings.size(); ++i) {
         const Schema& fed = schemas[n.inputs[i]];

@@ -17,6 +17,18 @@ namespace musketeer {
 // inference results.
 using SchemaMap = std::unordered_map<std::string, Schema>;
 
+// A chain of schema maps searched innermost first. A WHILE body resolves its
+// INPUTs against the loop's own bindings, then the enclosing scope, without
+// copying the enclosing map (one copy per loop made schema inference
+// quadratic on DAGs with many loops over a large DFS).
+struct SchemaScope {
+  const SchemaMap* names = nullptr;
+  const SchemaScope* outer = nullptr;
+
+  // The innermost schema bound to `name`, or nullptr.
+  const Schema* Find(const std::string& name) const;
+};
+
 class Dag {
  public:
   Dag() = default;
@@ -54,6 +66,11 @@ class Dag {
   // Computes the output schema of every node given base-relation schemas.
   // Fails if an expression references a missing column, arities mismatch, etc.
   StatusOr<std::vector<Schema>> InferSchemas(const SchemaMap& base) const;
+  // The same, resolving INPUT relations through `scope`, for the first
+  // `num_nodes` nodes only (every node when negative). Node ids are
+  // topological, so a prefix holds every ancestor of its nodes.
+  StatusOr<std::vector<Schema>> InferSchemas(const SchemaScope& scope,
+                                             int num_nodes = -1) const;
 
   // Number of operators counting WHILE bodies recursively (WHILE itself is
   // not counted; its body operators are).

@@ -19,6 +19,7 @@
 #ifndef MUSKETEER_SRC_OPT_IDIOM_H_
 #define MUSKETEER_SRC_OPT_IDIOM_H_
 
+#include <optional>
 #include <vector>
 
 #include "src/ir/dag.h"
@@ -34,11 +35,16 @@ struct GraphIdiomMatch {
   bool vertex_centric = false;
 };
 
+// Matches the idiom in the body of WHILE node `while_id` alone. nullopt when
+// `while_id` is out of range, is not a WHILE, or its body has no match.
+std::optional<GraphIdiomMatch> MatchGraphIdiom(const Dag& dag, int while_id);
+
 // Scans the DAG's WHILE operators for the graph-processing idiom.
 std::vector<GraphIdiomMatch> DetectGraphIdioms(const Dag& dag);
 
 // Convenience: true if `while_id` matches the idiom in its strict
 // vertex-centric form (i.e., it can execute on a vertex-centric runtime).
+// Examines only that node, so per-operator callers stay linear in the DAG.
 bool IsGraphIdiom(const Dag& dag, int while_id);
 
 }  // namespace musketeer

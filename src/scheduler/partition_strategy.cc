@@ -69,18 +69,27 @@ std::vector<int> RandomTopoOrder(const Dag& dag, uint64_t seed) {
   return order;
 }
 
-// Cheapest engine for one job; kInfiniteCost if none can run it.
+// Cheapest engine for one job; kInfiniteCost if none can run it. With
+// `live`, engines whose flag is clear are skipped, and an engine pricing the
+// job at kInfiniteCost has its flag cleared.
 std::pair<EngineKind, double> BestEngine(const Dag& dag, const CostModel& model,
                                          const std::vector<Bytes>& sizes,
                                          const std::vector<int>& ops,
-                                         const std::vector<EngineKind>& engines) {
+                                         const std::vector<EngineKind>& engines,
+                                         std::vector<bool>* live = nullptr) {
   EngineKind best = engines[0];
   double best_cost = kInfiniteCost;
-  for (EngineKind e : engines) {
-    double c = model.JobCost(dag, ops, e, sizes);
+  for (size_t i = 0; i < engines.size(); ++i) {
+    if (live != nullptr && !(*live)[i]) {
+      continue;
+    }
+    double c = model.JobCost(dag, ops, engines[i], sizes);
+    if (c == kInfiniteCost && live != nullptr) {
+      (*live)[i] = false;
+    }
     if (c < best_cost) {
       best_cost = c;
-      best = e;
+      best = engines[i];
     }
   }
   return {best, best_cost};
@@ -116,14 +125,29 @@ StatusOr<Partitioning> PartitionDpOnOrder(const Dag& dag, const CostModel& model
   std::vector<EngineKind> engine_of(n + 1, engines[0]);
   best[0] = 0;
 
+  // Segments ending at operator i grow one operator to the left per step.
+  // JobCost is infinite only when the engine cannot run the segment as one
+  // job, a generative operator must end it, or a priced term overflows; none
+  // of these goes away as the segment grows (an overflowed term stays
+  // infinite or turns NaN, which never wins either). So an engine that fails
+  // a segment is not asked again for that end point, and the search stops
+  // extending once every engine has failed. This skips only candidates that
+  // could never win: the plan is unchanged.
+  std::vector<int> segment;
+  std::vector<bool> live(engines.size());
   for (int i = 1; i <= n; ++i) {
     int min_k = config.enable_merging ? std::max(0, i - cap) : i - 1;
+    segment.clear();
+    std::fill(live.begin(), live.end(), true);
     for (int k = i - 1; k >= min_k; --k) {
+      segment.insert(segment.begin(), order[k]);
       if (best[k] == kInfiniteCost) {
         continue;
       }
-      std::vector<int> segment(order.begin() + k, order.begin() + i);
-      auto [eng, cost] = BestEngine(dag, model, sizes, segment, engines);
+      auto [eng, cost] = BestEngine(dag, model, sizes, segment, engines, &live);
+      if (std::find(live.begin(), live.end(), true) == live.end()) {
+        break;
+      }
       if (cost == kInfiniteCost) {
         continue;
       }

@@ -120,6 +120,34 @@ TEST(BackendTest, GeneratePlanForAllEnginesOnBatchJob) {
   }
 }
 
+// A job INPUT takes the schema of the outer node producing it, even when
+// the DFS holds a stale relation of the same name; and a job whose outer
+// DAG fails to type-check is rejected, not validated against that stale
+// relation.
+TEST(BackendTest, GeneratePlanValidatesJobInputsAgainstOuterProducers) {
+  const Schema edges({{"src", FieldType::kInt64}, {"dst", FieldType::kInt64}});
+  const Schema stale({{"other", FieldType::kString}});
+  {
+    Dag dag;
+    int x = dag.AddInput("edges");
+    int p = dag.AddNode(OpKind::kProject, "p", {x}, ProjectParams{{"src"}});
+    int q = dag.AddNode(OpKind::kProject, "q", {p}, ProjectParams{{"src"}});
+    SchemaMap base{{"edges", edges}, {"p", stale}};
+    auto plan = BackendFor(EngineKind::kSpark).GeneratePlan(dag, {q}, base, {});
+    EXPECT_TRUE(plan.ok()) << plan.status();
+  }
+  {
+    Dag dag;
+    int x = dag.AddInput("edges");
+    int bad = dag.AddNode(OpKind::kProject, "bad", {x}, ProjectParams{{"nope"}});
+    int d = dag.AddNode(OpKind::kDistinct, "d", {bad}, DistinctParams{});
+    SchemaMap base{{"edges", edges}, {"bad", edges}};
+    auto plan = BackendFor(EngineKind::kSpark).GeneratePlan(dag, {d}, base, {});
+    ASSERT_FALSE(plan.ok());
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument) << plan.status();
+  }
+}
+
 TEST(BackendTest, MusketeerSparkPlansModelTypeInferenceMiss) {
   auto dag = MaxPropertyPriceDag();
   std::vector<int> ops = NonInputOps(*dag);

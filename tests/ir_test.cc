@@ -114,6 +114,113 @@ TEST(DagTest, SchemaInferenceReportsMissingColumns) {
   EXPECT_FALSE(schemas.ok());
 }
 
+// ---- WHILE scopes in schema inference -------------------------------------
+// A WHILE body resolves its INPUTs against the loop's bindings and extra
+// inputs first, then the enclosing scope (up to the base map).
+
+WhileParams MakeLoop(std::unique_ptr<Dag> body, std::vector<LoopBinding> bindings,
+                     std::string result) {
+  WhileParams wp;
+  wp.iterations = 2;
+  wp.body = std::shared_ptr<const Dag>(body.release());
+  wp.bindings = std::move(bindings);
+  wp.result = std::move(result);
+  return wp;
+}
+
+TEST(DagTest, SchemaInferenceLoopBindingShadowsBaseRelation) {
+  // The base map also holds a three-column "v"; the body must see the
+  // binding's two-column edge schema instead.
+  Dag dag;
+  int in = dag.AddInput("edges");
+  auto body = std::make_unique<Dag>();
+  int bv = body->AddInput("v");
+  body->AddNode(OpKind::kDistinct, "v_next", {bv}, DistinctParams{});
+  int loop = dag.AddNode(OpKind::kWhile, "out", {in},
+                         MakeLoop(std::move(body), {{"v", "v_next"}}, "v_next"));
+  SchemaMap base{{"edges", EdgeSchema()},
+                 {"v", Schema({{"a", FieldType::kInt64},
+                               {"b", FieldType::kString},
+                               {"c", FieldType::kDouble}})}};
+  auto schemas = dag.InferSchemas(base);
+  ASSERT_TRUE(schemas.ok()) << schemas.status();
+  EXPECT_EQ((*schemas)[loop], EdgeSchema()) << (*schemas)[loop].ToString();
+}
+
+TEST(DagTest, SchemaInferenceExtraLoopInputVisibleUnderProducerName) {
+  // "weights_sel" is no base relation: the body can only see it as the
+  // WHILE's non-binding extra input, named after its outer producer.
+  Dag dag;
+  int in = dag.AddInput("edges");
+  int w = dag.AddInput("weights");
+  int sel = dag.AddNode(OpKind::kSelect, "weights_sel", {w},
+                        SelectParams{Expr::Binary(BinOp::kGt, Expr::Column("w"),
+                                                  Expr::Literal(0.5))});
+  auto body = std::make_unique<Dag>();
+  int bv = body->AddInput("v");
+  int bw = body->AddInput("weights_sel");
+  int j = body->AddNode(OpKind::kJoin, "j", {bv, bw}, JoinParams{"src", "src"});
+  body->AddNode(OpKind::kProject, "v_next", {j}, ProjectParams{{"src", "dst"}});
+  int loop = dag.AddNode(OpKind::kWhile, "out", {in, sel},
+                         MakeLoop(std::move(body), {{"v", "v_next"}}, "j"));
+  SchemaMap base{{"edges", EdgeSchema()},
+                 {"weights", Schema({{"src", FieldType::kInt64},
+                                     {"w", FieldType::kDouble}})}};
+  auto schemas = dag.InferSchemas(base);
+  ASSERT_TRUE(schemas.ok()) << schemas.status();
+  EXPECT_EQ((*schemas)[loop], Schema({{"src", FieldType::kInt64},
+                                      {"dst", FieldType::kInt64},
+                                      {"w", FieldType::kDouble}}))
+      << (*schemas)[loop].ToString();
+}
+
+TEST(DagTest, SchemaInferenceNestedLoopReadsGrandOuterBaseRelation) {
+  // The inner body reads "labels" straight from the base map, two scopes up.
+  auto inner_body = std::make_unique<Dag>();
+  int bu = inner_body->AddInput("u");
+  int bl = inner_body->AddInput("labels");
+  int j = inner_body->AddNode(OpKind::kJoin, "j", {bu, bl}, JoinParams{"src", "id"});
+  inner_body->AddNode(OpKind::kProject, "u_next", {j}, ProjectParams{{"src", "dst"}});
+
+  auto outer_body = std::make_unique<Dag>();
+  int bv = outer_body->AddInput("v");
+  int inner = outer_body->AddNode(
+      OpKind::kWhile, "inner_out", {bv},
+      MakeLoop(std::move(inner_body), {{"u", "u_next"}}, "j"));
+  outer_body->AddNode(OpKind::kProject, "v_next", {inner},
+                      ProjectParams{{"src", "dst"}});
+
+  Dag dag;
+  int in = dag.AddInput("edges");
+  int loop = dag.AddNode(OpKind::kWhile, "out", {in},
+                         MakeLoop(std::move(outer_body), {{"v", "v_next"}},
+                                  "inner_out"));
+  SchemaMap base{{"edges", EdgeSchema()},
+                 {"labels", Schema({{"id", FieldType::kInt64},
+                                    {"name", FieldType::kString}})}};
+  auto schemas = dag.InferSchemas(base);
+  ASSERT_TRUE(schemas.ok()) << schemas.status();
+  EXPECT_EQ((*schemas)[loop], Schema({{"src", FieldType::kInt64},
+                                      {"dst", FieldType::kInt64},
+                                      {"name", FieldType::kString}}))
+      << (*schemas)[loop].ToString();
+}
+
+TEST(DagTest, SchemaInferenceMissingRelationInLoopBodyIsNotFound) {
+  Dag dag;
+  int in = dag.AddInput("edges");
+  auto body = std::make_unique<Dag>();
+  int bv = body->AddInput("v");
+  int bn = body->AddInput("nowhere");
+  body->AddNode(OpKind::kUnion, "v_next", {bv, bn}, UnionParams{});
+  dag.AddNode(OpKind::kWhile, "out", {in},
+              MakeLoop(std::move(body), {{"v", "v_next"}}, "v_next"));
+  auto schemas = dag.InferSchemas({{"edges", EdgeSchema()}});
+  ASSERT_FALSE(schemas.ok());
+  EXPECT_EQ(schemas.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(schemas.status().message(), "base relation 'nowhere' has no schema");
+}
+
 TEST(DagTest, SinksAndConsumers) {
   Dag dag;
   int in = dag.AddInput("edges");

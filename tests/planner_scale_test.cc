@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "src/ir/eval.h"
 #include "src/obs/metrics.h"
 #include "src/obs/runtime_history.h"
+#include "src/opt/idiom.h"
 #include "src/scheduler/partition_strategy.h"
 #include "src/service/shard_coordinator.h"
 #include "src/workloads/synthetic_dag.h"
@@ -213,6 +216,59 @@ TEST(PlannerScaleTest, ThousandOperatorDagPartitions) {
   }
   EXPECT_EQ(static_cast<int>(covered.size()), 1000);
   EXPECT_GT(out->jobs.size(), 1u);
+}
+
+// IsGraphIdiom and MatchGraphIdiom examine one node; on every node they must
+// agree with the whole-DAG DetectGraphIdioms scan, and stay false/empty for
+// non-WHILE and out-of-range ids. Returns the number of vertex-centric loops.
+int ExpectIdiomChecksAgree(const Dag& dag, const std::string& label) {
+  std::map<int, GraphIdiomMatch> scanned;
+  for (const GraphIdiomMatch& m : DetectGraphIdioms(dag)) {
+    scanned[m.while_node] = m;
+  }
+  int vertex_centric = 0;
+  for (const OperatorNode& n : dag.nodes()) {
+    auto it = scanned.find(n.id);
+    std::optional<GraphIdiomMatch> match = MatchGraphIdiom(dag, n.id);
+    EXPECT_EQ(match.has_value(), it != scanned.end()) << label << " node " << n.id;
+    bool expected = it != scanned.end() && it->second.vertex_centric;
+    EXPECT_EQ(IsGraphIdiom(dag, n.id), expected) << label << " node " << n.id;
+    if (match.has_value() && it != scanned.end()) {
+      EXPECT_EQ(match->scatter_join, it->second.scatter_join) << label;
+      EXPECT_EQ(match->gather_group_by, it->second.gather_group_by) << label;
+      EXPECT_EQ(match->vertex_centric, it->second.vertex_centric) << label;
+    }
+    if (n.kind != OpKind::kWhile) {
+      EXPECT_FALSE(match.has_value()) << label << " node " << n.id;
+    }
+    vertex_centric += expected ? 1 : 0;
+  }
+  for (int id : {-1, dag.num_nodes(), dag.num_nodes() + 7}) {
+    EXPECT_FALSE(IsGraphIdiom(dag, id)) << label << " id " << id;
+    EXPECT_FALSE(MatchGraphIdiom(dag, id).has_value()) << label << " id " << id;
+  }
+  return vertex_centric;
+}
+
+TEST(IdiomScaleTest, PerNodeCheckAgreesWithWholeDagScan) {
+  int vertex_centric = 0;
+  for (Wf wf : kAllWorkflows) {
+    WfSetup setup = MakeSetup(wf);
+    auto dag = ParseWorkflow(setup.workflow.language, setup.workflow.source);
+    ASSERT_TRUE(dag.ok()) << WfName(wf) << ": " << dag.status();
+    vertex_centric += ExpectIdiomChecksAgree(**dag, WfName(wf));
+  }
+  // PageRank and SSSP are vertex-centric loops: the check is not vacuous.
+  EXPECT_GE(vertex_centric, 2);
+  for (int ops : {100, 1000}) {
+    SyntheticDagSpec spec;
+    spec.target_ops = ops;
+    spec.seed = 1;
+    SyntheticDagWorkload workload = MakeSyntheticDag(spec);
+    auto dag = ParseWorkflow(FrontendLanguage::kBeer, workload.source);
+    ASSERT_TRUE(dag.ok()) << dag.status();
+    ExpectIdiomChecksAgree(**dag, "synthetic-" + std::to_string(ops));
+  }
 }
 
 // Online re-planning end to end: force a mid-run re-plan (threshold below
