@@ -1,5 +1,7 @@
 #include "src/backends/engine_kind.h"
 
+#include "src/base/strings.h"
+
 namespace musketeer {
 
 const char* EngineKindName(EngineKind kind) {
@@ -20,6 +22,15 @@ const char* EngineKindName(EngineKind kind) {
       return "SerialC";
   }
   return "Unknown";
+}
+
+std::optional<EngineKind> EngineKindFromName(std::string_view name) {
+  for (EngineKind kind : kAllEngines) {
+    if (EqualsIgnoreCase(name, EngineKindName(kind))) {
+      return kind;
+    }
+  }
+  return std::nullopt;
 }
 
 bool IsDistributedEngine(EngineKind kind) {

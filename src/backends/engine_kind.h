@@ -4,7 +4,9 @@
 #define MUSKETEER_SRC_BACKENDS_ENGINE_KIND_H_
 
 #include <array>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace musketeer {
 
@@ -25,6 +27,8 @@ inline constexpr std::array<EngineKind, 7> kAllEngines = {
 };
 
 const char* EngineKindName(EngineKind kind);
+// Inverse of EngineKindName, any case ("naiad" -> kNaiad); nullopt otherwise.
+std::optional<EngineKind> EngineKindFromName(std::string_view name);
 
 // Engines that scale across cluster nodes; the rest use exactly one machine.
 bool IsDistributedEngine(EngineKind kind);

@@ -29,9 +29,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "src/base/options.h"
 #include "src/cluster/dfs.h"
 #include "src/engines/engine.h"
 #include "src/frontends/frontend.h"
@@ -101,6 +103,12 @@ struct RunOptions {
   bool incremental = false;
 };
 
+// The run options a caller may set per submission, one row each: the CLI
+// takes them as flags (--deadline-ms=N) and the network front door as
+// headers (X-Deadline-Ms: N), both applied to a RunOptions through the same
+// row. Rows: deadline-ms, incremental, partitioner, replan-threshold.
+std::span<const OptionRow<RunOptions>> RunOptionRows();
+
 // Everything Plan() produces and Execute() consumes. Immutable once built,
 // so one plan may be shared (and executed) by concurrent runs.
 struct WorkflowPlan {
@@ -167,8 +175,8 @@ struct RunResult {
   int total_failovers = 0;        // engine switches after retry exhaustion
   int total_faults_injected = 0;  // injected (not organic) attempt failures
   int jobs_reused = 0;  // jobs skipped on a fingerprint match
-  // Planner accounting (DESIGN.md "Planner at scale"): the registry name of
-  // the strategy that produced the partitioning, and how many times Execute
+  // Planner accounting (DESIGN.md "Planner at scale"): the name of the
+  // strategy that produced the partitioning, and how many times Execute
   // re-partitioned the remaining DAG suffix after a misprediction.
   std::string partition_strategy;
   int replans = 0;

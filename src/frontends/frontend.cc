@@ -1,5 +1,8 @@
 #include "src/frontends/frontend.h"
 
+#include <utility>
+
+#include "src/base/strings.h"
 #include "src/frontends/beer_parser.h"
 #include "src/frontends/gas_parser.h"
 #include "src/frontends/hive_parser.h"
@@ -19,6 +22,22 @@ const char* FrontendLanguageName(FrontendLanguage lang) {
       return "Lindi";
   }
   return "UNKNOWN";
+}
+
+std::optional<FrontendLanguage> FrontendLanguageFromName(
+    std::string_view name) {
+  static constexpr std::pair<const char*, FrontendLanguage> kNames[] = {
+      {"beer", FrontendLanguage::kBeer},
+      {"hive", FrontendLanguage::kHive},
+      {"gas", FrontendLanguage::kGas},
+      {"lindi", FrontendLanguage::kLindi},
+  };
+  for (const auto& [spelling, lang] : kNames) {
+    if (EqualsIgnoreCase(name, spelling)) {
+      return lang;
+    }
+  }
+  return std::nullopt;
 }
 
 std::unique_ptr<Frontend> MakeFrontend(FrontendLanguage lang) {

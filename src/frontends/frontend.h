@@ -5,7 +5,9 @@
 #define MUSKETEER_SRC_FRONTENDS_FRONTEND_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "src/ir/dag.h"
 
@@ -19,6 +21,10 @@ enum class FrontendLanguage {
 };
 
 const char* FrontendLanguageName(FrontendLanguage lang);
+// "beer", "hive", "gas" or "lindi", any case — the CLI's --language and the
+// network's X-Language spelling (also file extensions); nullopt otherwise.
+std::optional<FrontendLanguage> FrontendLanguageFromName(
+    std::string_view name);
 
 class Frontend {
  public:

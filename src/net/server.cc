@@ -11,10 +11,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstring>
+#include <limits>
 #include <optional>
 
 #include "src/base/json.h"
+#include "src/base/options.h"
 #include "src/base/strings.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -94,25 +97,19 @@ Histogram& RequestSecondsHistogram() {
   return h;
 }
 
-std::optional<FrontendLanguage> ParseLanguage(std::string_view name) {
-  if (name.empty() || EqualsIgnoreCase(name, "beer")) {
-    return FrontendLanguage::kBeer;
-  }
-  if (EqualsIgnoreCase(name, "hive")) return FrontendLanguage::kHive;
-  if (EqualsIgnoreCase(name, "gas")) return FrontendLanguage::kGas;
-  if (EqualsIgnoreCase(name, "lindi")) return FrontendLanguage::kLindi;
-  return std::nullopt;
-}
-
-// "/status/17" → 17; nullopt on junk (empty, non-digits, trailing garbage).
-std::optional<uint64_t> ParseIdSuffix(std::string_view path,
-                                      std::string_view prefix) {
+// "/status/17" → 17. Junk (empty, non-digits, trailing garbage) is a 400;
+// an all-digit id past uint64_t names no ticket, so it is a 404 rather than
+// wrapping onto a live one.
+StatusOr<uint64_t> ParseIdSuffix(std::string_view path,
+                                 std::string_view prefix) {
   std::string_view rest = path.substr(prefix.size());
-  if (rest.empty()) return std::nullopt;
   uint64_t id = 0;
-  for (char c : rest) {
-    if (c < '0' || c > '9') return std::nullopt;
-    id = id * 10 + static_cast<uint64_t>(c - '0');
+  auto [end, ec] = std::from_chars(rest.data(), rest.data() + rest.size(), id);
+  if (rest.empty() || end != rest.data() + rest.size()) {
+    return InvalidArgumentError("bad ticket id");
+  }
+  if (ec != std::errc()) {
+    return NotFoundError(std::string("unknown ticket ").append(rest));
   }
   return id;
 }
@@ -123,6 +120,11 @@ HttpResponse JsonError(int status, const std::string& message) {
   resp.content_type = "application/json";
   resp.body = "{\"error\": " + JsonQuote(message) + "}\n";
   return resp;
+}
+
+HttpResponse TicketIdError(const Status& status) {
+  return JsonError(status.code() == StatusCode::kNotFound ? 404 : 400,
+                   status.message());
 }
 
 // The two saturation rejections get distinct codes at the edge: a tenant
@@ -558,7 +560,7 @@ HttpResponse HttpServer::Route(const HttpRequest& request) {
   if (StartsWith(path, "/status/")) {
     if (request.method != "GET") return JsonError(405, "status requires GET");
     auto id = ParseIdSuffix(path, "/status/");
-    if (!id.has_value()) return JsonError(400, "bad ticket id");
+    if (!id.ok()) return TicketIdError(id.status());
     return HandleStatus(*id);
   }
   if (StartsWith(path, "/cancel/")) {
@@ -566,13 +568,13 @@ HttpResponse HttpServer::Route(const HttpRequest& request) {
       return JsonError(405, "cancel requires POST");
     }
     auto id = ParseIdSuffix(path, "/cancel/");
-    if (!id.has_value()) return JsonError(400, "bad ticket id");
+    if (!id.ok()) return TicketIdError(id.status());
     return HandleCancel(*id);
   }
   if (StartsWith(path, "/result/")) {
     if (request.method != "GET") return JsonError(405, "result requires GET");
     auto id = ParseIdSuffix(path, "/result/");
-    if (!id.has_value()) return JsonError(400, "bad ticket id");
+    if (!id.ok()) return TicketIdError(id.status());
     return HandleResult(*id);
   }
   if (path == "/relations") {
@@ -626,53 +628,34 @@ HttpResponse HttpServer::HandleSubmit(const HttpRequest& request) {
   const std::string* id_header = request.FindHeader("x-workflow-id");
   spec.id = id_header != nullptr ? *id_header : "net-anon";
   const std::string* lang_header = request.FindHeader("x-language");
-  auto language = ParseLanguage(lang_header != nullptr ? *lang_header : "");
+  auto language = lang_header == nullptr || lang_header->empty()
+                      ? FrontendLanguage::kBeer
+                      : FrontendLanguageFromName(*lang_header);
   if (!language.has_value()) {
     return JsonError(400, "unknown language '" + *lang_header + "'");
   }
   spec.language = *language;
   spec.source = request.body;
 
-  SubmitOverrides overrides;
-  if (const std::string* dl = request.FindHeader("x-deadline-ms")) {
-    auto ms = ParseInt64(*dl);
-    if (!ms.has_value() || *ms <= 0) {
-      return JsonError(400, "bad x-deadline-ms");
+  // Per-submission run options (X-Deadline-Ms, X-Incremental, X-Partitioner,
+  // X-Replan-Threshold) layer over the service defaults, parsed by the same
+  // rows as the CLI flags.
+  RunOptions options = service_->default_options();
+  for (const OptionRow<RunOptions>& row : RunOptionRows()) {
+    const std::string* value =
+        request.FindHeader(std::string("x-").append(row.name));
+    if (value == nullptr) {
+      continue;
     }
-    overrides.deadline = std::chrono::milliseconds(*ms);
-  }
-
-  // X-Incremental: 1|true → incremental resubmission (jobs whose input
-  // fingerprints still match the DFS are reused, not recomputed).
-  if (const std::string* inc = request.FindHeader("x-incremental")) {
-    if (*inc == "1" || EqualsIgnoreCase(*inc, "true")) {
-      overrides.incremental = true;
-    } else if (!(*inc == "0" || EqualsIgnoreCase(*inc, "false"))) {
-      return JsonError(400, "bad x-incremental '" + *inc + "'");
+    Status applied = row.apply(*value, &options);
+    if (!applied.ok()) {
+      return JsonError(400, OptionHeaderName(row.name) + " " +
+                                applied.message());
     }
   }
 
-  // X-Partitioner: a strategy name in the planner registry
-  // (auto|dp|exhaustive|dp-multi, or a custom registration).
-  if (const std::string* strat = request.FindHeader("x-partitioner")) {
-    if (!PartitionStrategyKindFromName(*strat).has_value() &&
-        PartitionStrategyRegistry::Global().Find(*strat) == nullptr) {
-      return JsonError(400, "unknown partitioner '" + *strat + "'");
-    }
-    overrides.partitioner = *strat;
-  }
-
-  // X-Replan-Threshold: misprediction ratio above which the run
-  // re-partitions its remaining jobs mid-flight; 0 disables.
-  if (const std::string* rt = request.FindHeader("x-replan-threshold")) {
-    auto ratio = ParseDouble(*rt);
-    if (!ratio.has_value() || *ratio < 0) {
-      return JsonError(400, "bad x-replan-threshold '" + *rt + "'");
-    }
-    overrides.replan_threshold = *ratio;
-  }
-
-  WorkflowHandle ticket = SubmitSpec(tenant, std::move(spec), overrides);
+  WorkflowHandle ticket =
+      SubmitSpec(tenant, std::move(spec), std::move(options));
   if (ticket->state() == WorkflowState::kRejected) {
     HttpResponse resp;
     resp.status = RejectStatus(ticket->reject_reason());
@@ -835,9 +818,11 @@ HttpResponse HttpServer::HandleRelationPut(const HttpRequest& request,
     return JsonError(400, "bad CSV body: " + table.status().message());
   }
   if (const std::string* scale_header = request.FindHeader("x-scale")) {
-    auto scale = ParseDouble(*scale_header);
-    if (!scale.has_value() || *scale < 1.0) {
-      return JsonError(400, "bad X-Scale '" + *scale_header + "'");
+    auto scale = ParseRealOption(*scale_header, 1.0,
+                                 std::numeric_limits<double>::max(),
+                                 "a finite scale >= 1");
+    if (!scale.ok()) {
+      return JsonError(400, "X-Scale " + scale.status().message());
     }
     table->set_scale(*scale);
   }
@@ -913,7 +898,7 @@ void HttpServer::HandleLineCommand(Connection* conn, const std::string& line) {
       conn->outbuf += "ERR 400 usage: SUBMIT <id> <language> <nbytes>\n";
       return;
     }
-    auto language = ParseLanguage(parts[2]);
+    auto language = FrontendLanguageFromName(parts[2]);
     auto nbytes = ParseInt64(parts[3]);
     if (!language.has_value()) {
       conn->outbuf += "ERR 400 unknown language " + parts[2] + "\n";
@@ -936,8 +921,8 @@ void HttpServer::HandleLineCommand(Connection* conn, const std::string& line) {
     spec.language = *language;
     spec.source = std::move(conn->submit_body);
     conn->submit_body.clear();
-    WorkflowHandle ticket =
-        SubmitSpec(conn->tenant, std::move(spec), SubmitOverrides{});
+    WorkflowHandle ticket = SubmitSpec(conn->tenant, std::move(spec),
+                                       service_->default_options());
     if (ticket->state() == WorkflowState::kRejected) {
       conn->outbuf += "ERR " + std::to_string(RejectStatus(ticket->reject_reason())) +
                       " " + ticket->result().status().message() + "\n";
@@ -996,40 +981,9 @@ void HttpServer::HandleLineCommand(Connection* conn, const std::string& line) {
 // ---- ticket registry -------------------------------------------------------
 
 WorkflowHandle HttpServer::SubmitSpec(const std::string& tenant,
-                                      WorkflowSpec spec,
-                                      const SubmitOverrides& overrides) {
-  const bool customized = overrides.deadline.count() > 0 ||
-                          overrides.incremental ||
-                          !overrides.partitioner.empty() ||
-                          overrides.replan_threshold >= 0;
-  WorkflowHandle ticket;
-  if (customized) {
-    RunOptions options = service_->default_options();
-    if (overrides.deadline.count() > 0) {
-      options.deadline = overrides.deadline;
-    }
-    if (!overrides.partitioner.empty()) {
-      // Built-in names set the enum (so the plan-cache key and RunResult
-      // agree with the auto default); anything else is a registry lookup.
-      auto kind = PartitionStrategyKindFromName(overrides.partitioner);
-      if (kind.has_value()) {
-        options.planner.strategy = *kind;
-        options.planner.custom_strategy.clear();
-      } else {
-        options.planner.custom_strategy = overrides.partitioner;
-      }
-    }
-    if (overrides.replan_threshold >= 0) {
-      options.planner.replan_threshold = overrides.replan_threshold;
-    }
-    ticket = overrides.incremental
-                 ? service_->ResubmitIncrementalAs(tenant, std::move(spec),
-                                                   std::move(options))
-                 : service_->SubmitAs(tenant, std::move(spec),
-                                      std::move(options));
-  } else {
-    ticket = service_->SubmitAs(tenant, std::move(spec));
-  }
+                                      WorkflowSpec spec, RunOptions options) {
+  WorkflowHandle ticket =
+      service_->SubmitAs(tenant, std::move(spec), std::move(options));
   RegisterTicket(ticket);
   return ticket;
 }

@@ -11,7 +11,9 @@
 //   * HTTP/1.1 (first token is a method name), keep-alive by default:
 //       POST /submit        body = workflow source
 //                           headers: X-Tenant, X-Language, X-Workflow-Id,
-//                           X-Deadline-Ms (optional per-request deadline)
+//                           and the RunOptionRows() run options as X-*
+//                           (X-Deadline-Ms, X-Incremental, X-Partitioner,
+//                           X-Replan-Threshold; bad values get 400)
 //       GET  /status/<id>   ticket state JSON
 //       POST /cancel/<id>   cooperative cancel, returns state JSON
 //       GET  /result/<id>   outputs JSON: name, schema spec, rows, CSV text
@@ -153,23 +155,10 @@ class HttpServer {
   HttpResponse HandleRelationPut(const HttpRequest& request,
                                  const std::string& name);
 
-  // Per-submission overrides of the service's default RunOptions, parsed
-  // from request headers (X-Deadline-Ms, X-Incremental, X-Partitioner,
-  // X-Replan-Threshold). Fields at their defaults leave the service
-  // defaults untouched.
-  struct SubmitOverrides {
-    std::chrono::milliseconds deadline{0};
-    bool incremental = false;
-    std::string partitioner;      // strategy registry name; "" = default
-    double replan_threshold = -1; // < 0 = default
-  };
-
-  // Submits to the service under `tenant` and registers the ticket.
-  // `overrides.incremental` routes through the service's incremental-resubmit
-  // path (fingerprint-matched jobs are reused; see X-Incremental in
-  // HandleSubmit).
+  // Submits to the service under `tenant` with `options` (the service
+  // defaults with any per-request headers applied) and registers the ticket.
   WorkflowHandle SubmitSpec(const std::string& tenant, WorkflowSpec spec,
-                            const SubmitOverrides& overrides);
+                            RunOptions options);
   void RegisterTicket(const WorkflowHandle& ticket);
   WorkflowHandle FindTicket(uint64_t id) const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -549,78 +548,13 @@ StatusOr<Partitioning> RunExhaustive(const Dag& dag, const CostModel& model,
   return out;
 }
 
-// ---- Built-in strategies ----
-
-class DpStrategy : public PartitionStrategy {
- public:
-  std::string_view name() const override { return "dp"; }
-  StatusOr<Partitioning> Partition(const Dag& dag, const CostModel& model,
-                                   const std::vector<Bytes>& sizes,
-                                   const PlannerConfig& config) const override {
-    auto out = PartitionDpMulti(dag, model, sizes, config,
-                                std::max(1, config.dp_linear_orders));
-    if (out.ok()) {
-      out->strategy = name();
-    }
-    return out;
+// Linear orders a DP strategy explores. Selecting the multi-order strategy
+// with the orders knob untouched still explores a meaningful spread.
+int DpOrders(PartitionStrategyKind kind, const PlannerConfig& config) {
+  if (kind == PartitionStrategyKind::kDpMultiOrder) {
+    return config.dp_linear_orders > 1 ? config.dp_linear_orders : 8;
   }
-};
-
-class DpMultiOrderStrategy : public PartitionStrategy {
- public:
-  std::string_view name() const override { return "dp-multi"; }
-  StatusOr<Partitioning> Partition(const Dag& dag, const CostModel& model,
-                                   const std::vector<Bytes>& sizes,
-                                   const PlannerConfig& config) const override {
-    // Selecting the multi-order strategy with the orders knob untouched
-    // still explores a meaningful spread.
-    int orders = config.dp_linear_orders > 1 ? config.dp_linear_orders : 8;
-    auto out = PartitionDpMulti(dag, model, sizes, config, orders);
-    if (out.ok()) {
-      out->strategy = name();
-    }
-    return out;
-  }
-};
-
-class ExhaustiveStrategy : public PartitionStrategy {
- public:
-  std::string_view name() const override { return "exhaustive"; }
-  StatusOr<Partitioning> Partition(const Dag& dag, const CostModel& model,
-                                   const std::vector<Bytes>& sizes,
-                                   const PlannerConfig& config) const override {
-    auto out = RunExhaustive(dag, model, sizes, config);
-    if (out.ok()) {
-      out->strategy = name();
-    }
-    return out;
-  }
-};
-
-class AutoStrategy : public PartitionStrategy {
- public:
-  std::string_view name() const override { return "auto"; }
-  StatusOr<Partitioning> Partition(const Dag& dag, const CostModel& model,
-                                   const std::vector<Bytes>& sizes,
-                                   const PlannerConfig& config) const override {
-    const int ops = static_cast<int>(OperatorOrder(dag).size());
-    const char* target =
-        ops <= config.exhaustive_threshold
-            ? "exhaustive"
-            : (config.dp_linear_orders > 1 ? "dp-multi" : "dp");
-    const PartitionStrategy* impl =
-        PartitionStrategyRegistry::Global().Find(target);
-    if (impl == nullptr) {
-      return InternalError(std::string("auto strategy target '") + target +
-                           "' not registered");
-    }
-    return impl->Partition(dag, model, sizes, config);
-  }
-};
-
-std::mutex& RegistryMutex() {
-  static std::mutex mu;
-  return mu;
+  return std::max(1, config.dp_linear_orders);
 }
 
 }  // namespace
@@ -656,62 +590,24 @@ std::optional<PartitionStrategyKind> PartitionStrategyKindFromName(
   return std::nullopt;
 }
 
-PartitionStrategyRegistry::PartitionStrategyRegistry() {
-  strategies_.emplace_back("auto", std::make_unique<AutoStrategy>());
-  strategies_.emplace_back("dp", std::make_unique<DpStrategy>());
-  strategies_.emplace_back("exhaustive", std::make_unique<ExhaustiveStrategy>());
-  strategies_.emplace_back("dp-multi", std::make_unique<DpMultiOrderStrategy>());
-}
-
-PartitionStrategyRegistry& PartitionStrategyRegistry::Global() {
-  static PartitionStrategyRegistry* registry = new PartitionStrategyRegistry();
-  return *registry;
-}
-
-void PartitionStrategyRegistry::Register(
-    std::string name, std::unique_ptr<PartitionStrategy> strategy) {
-  std::lock_guard lock(RegistryMutex());
-  strategies_.emplace_back(std::move(name), std::move(strategy));
-}
-
-const PartitionStrategy* PartitionStrategyRegistry::Find(
-    std::string_view name) const {
-  std::lock_guard lock(RegistryMutex());
-  // Back-to-front: the latest registration under a name wins, so user
-  // strategies can shadow built-ins without unregistering them.
-  for (auto it = strategies_.rbegin(); it != strategies_.rend(); ++it) {
-    if (it->first == name) {
-      return it->second.get();
-    }
-  }
-  return nullptr;
-}
-
-std::vector<std::string> PartitionStrategyRegistry::Names() const {
-  std::lock_guard lock(RegistryMutex());
-  std::vector<std::string> out;
-  for (const auto& [name, strategy] : strategies_) {
-    if (std::find(out.begin(), out.end(), name) == out.end()) {
-      out.push_back(name);
-    }
-  }
-  return out;
-}
-
 StatusOr<Partitioning> PartitionWorkflow(const Dag& dag, const CostModel& model,
                                          const std::vector<Bytes>& sizes,
                                          const PlannerConfig& config) {
-  const std::string name = !config.custom_strategy.empty()
-                               ? config.custom_strategy
-                               : PartitionStrategyKindName(config.strategy);
-  const PartitionStrategy* strategy =
-      PartitionStrategyRegistry::Global().Find(name);
-  if (strategy == nullptr) {
-    return InvalidArgumentError("unknown partition strategy '" + name + "'");
+  PartitionStrategyKind kind = config.strategy;
+  if (kind == PartitionStrategyKind::kAuto) {
+    // The paper's switch: exhaustive up to the threshold, DP above it.
+    const int ops = static_cast<int>(OperatorOrder(dag).size());
+    kind = ops <= config.exhaustive_threshold
+               ? PartitionStrategyKind::kExhaustive
+           : config.dp_linear_orders > 1 ? PartitionStrategyKind::kDpMultiOrder
+                                         : PartitionStrategyKind::kDp;
   }
-  auto out = strategy->Partition(dag, model, sizes, config);
-  if (out.ok() && out->strategy.empty()) {
-    out->strategy = std::string(strategy->name());
+  auto out = kind == PartitionStrategyKind::kExhaustive
+                 ? RunExhaustive(dag, model, sizes, config)
+                 : PartitionDpMulti(dag, model, sizes, config,
+                                    DpOrders(kind, config));
+  if (out.ok()) {
+    out->strategy = PartitionStrategyKindName(kind);
   }
   return out;
 }

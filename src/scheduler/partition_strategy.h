@@ -1,25 +1,19 @@
-// Pluggable partitioning strategies (§5) behind one planner configuration.
+// Workflow partitioning strategies (§5) behind one planner configuration.
 //
-// The planner is selectable, parameterized and extensible without touching
-// src/core/:
-//
-//   * PartitionStrategyKind — the built-in strategies: kAuto (exhaustive up
-//     to a size threshold, DP above it — the paper's switch), kDp (§5.1.2
-//     single linear order), kExhaustive (§5.1.1 optimal search), and
-//     kDpMultiOrder (§8/Fig. 16: DP over several seeded random topological
-//     orders, cheapest partitioning wins).
+//   * PartitionStrategyKind — the strategies: kAuto (exhaustive up to a size
+//     threshold, DP above it — the paper's switch), kDp (§5.1.2 single linear
+//     order), kExhaustive (§5.1.1 optimal search), and kDpMultiOrder (§8/
+//     Fig. 16: DP over several seeded random topological orders, cheapest
+//     partitioning wins).
 //   * PlannerConfig — every knob the planner takes, including the online
 //     re-planning policy Execute() applies mid-run.
-//   * PartitionStrategy — the strategy interface. Implementations register
-//     with PartitionStrategyRegistry under a name; new strategies (beam
-//     search, ILP, ...) slot in by registering, with no core changes.
-//   * PartitionWorkflow — the single entry point Musketeer::Plan calls.
+//   * PartitionWorkflow — the single entry point Musketeer::Plan calls; it
+//     switches on the strategy kind.
 
 #ifndef MUSKETEER_SRC_SCHEDULER_PARTITION_STRATEGY_H_
 #define MUSKETEER_SRC_SCHEDULER_PARTITION_STRATEGY_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -39,8 +33,8 @@ struct Partitioning {
   std::vector<JobAssignment> jobs;  // in execution (topological) order
   double total_cost = 0;
   bool used_exhaustive = false;
-  // Registry name of the strategy that produced this partitioning
-  // ("auto" resolves to the concrete strategy it dispatched to).
+  // PartitionStrategyKindName of the strategy that produced this
+  // partitioning ("auto" resolves to the concrete strategy it dispatched to).
   std::string strategy;
 };
 
@@ -51,7 +45,8 @@ enum class PartitionStrategyKind {
   kDpMultiOrder, // §8/Fig. 16 DP over several seeded random orders
 };
 
-// Canonical registry names: "auto", "dp", "exhaustive", "dp-multi".
+// Canonical names: "auto", "dp", "exhaustive", "dp-multi" (FromName also
+// takes "dp_multi").
 const char* PartitionStrategyKindName(PartitionStrategyKind kind);
 std::optional<PartitionStrategyKind> PartitionStrategyKindFromName(
     std::string_view name);
@@ -59,9 +54,6 @@ std::optional<PartitionStrategyKind> PartitionStrategyKindFromName(
 // One coherent planner configuration, consumed by Musketeer::Plan.
 struct PlannerConfig {
   PartitionStrategyKind strategy = PartitionStrategyKind::kAuto;
-  // When non-empty, resolved against the registry instead of `strategy` —
-  // the extension point for strategies registered outside this file.
-  std::string custom_strategy{};
 
   // Engines considered; empty = all seven (automatic mapping, §5.2).
   std::vector<EngineKind> engines{};
@@ -93,38 +85,8 @@ struct PlannerConfig {
   int max_replans = 1;
 };
 
-// Strategy interface. Implementations must be stateless and thread-safe:
-// one registered instance serves concurrent plans.
-class PartitionStrategy {
- public:
-  virtual ~PartitionStrategy() = default;
-  virtual std::string_view name() const = 0;
-  virtual StatusOr<Partitioning> Partition(const Dag& dag,
-                                           const CostModel& model,
-                                           const std::vector<Bytes>& sizes,
-                                           const PlannerConfig& config) const = 0;
-};
-
-// Name -> strategy registry. Built-ins self-register; user strategies add
-// themselves via Register (last registration under a name wins).
-class PartitionStrategyRegistry {
- public:
-  static PartitionStrategyRegistry& Global();
-
-  void Register(std::string name, std::unique_ptr<PartitionStrategy> strategy);
-  // nullptr when unknown.
-  const PartitionStrategy* Find(std::string_view name) const;
-  std::vector<std::string> Names() const;
-
- private:
-  PartitionStrategyRegistry();
-  std::vector<std::pair<std::string, std::unique_ptr<PartitionStrategy>>>
-      strategies_;
-};
-
-// The planner entry point: resolves config.custom_strategy / config.strategy
-// against the registry and partitions. The returned Partitioning.strategy
-// names the concrete strategy that ran.
+// The planner entry point: partitions with config.strategy. The returned
+// Partitioning.strategy names the concrete strategy that ran.
 StatusOr<Partitioning> PartitionWorkflow(const Dag& dag, const CostModel& model,
                                          const std::vector<Bytes>& sizes,
                                          const PlannerConfig& config);

@@ -37,9 +37,7 @@ std::string PlanCacheKey(const WorkflowSpec& spec, const RunOptions& options) {
       << '\x1f' << static_cast<int>(options.codegen.flavor) << ':'
       << options.codegen.shared_scans << ':' << options.optimize_ir << ':'
       << options.planner.enable_merging << ':'
-      << (options.planner.custom_strategy.empty()
-              ? PartitionStrategyKindName(options.planner.strategy)
-              : options.planner.custom_strategy)
+      << PartitionStrategyKindName(options.planner.strategy)
       << ':' << options.planner.exhaustive_threshold << ':'
       << options.planner.dp_linear_orders << ':'
       << options.planner.dp_order_seed << ':'

@@ -264,18 +264,6 @@ WorkflowHandle WorkflowService::SubmitBlockingAs(const std::string& tenant,
                  /*blocking=*/true);
 }
 
-WorkflowHandle WorkflowService::ResubmitIncremental(WorkflowSpec spec) {
-  return ResubmitIncrementalAs("", std::move(spec), config_.default_options);
-}
-
-WorkflowHandle WorkflowService::ResubmitIncrementalAs(const std::string& tenant,
-                                                      WorkflowSpec spec,
-                                                      RunOptions options) {
-  options.incremental = true;
-  return Enqueue(tenant, std::move(spec), std::move(options),
-                 /*blocking=*/false);
-}
-
 WorkflowHandle WorkflowService::Enqueue(const std::string& tenant,
                                         WorkflowSpec spec, RunOptions options,
                                         bool blocking) {

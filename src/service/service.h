@@ -224,7 +224,10 @@ class WorkflowService {
 
   // Non-blocking submission with the service-wide default options; returns
   // a REJECTED ticket when the queue is full, the tenant is over quota, or
-  // the service is shut down (ticket->reject_reason() says which).
+  // the service is shut down (ticket->reject_reason() says which). With
+  // options.incremental set, a resubmission skips every job whose input
+  // fingerprint, recorded by this service's earlier run of the workflow,
+  // still matches the DFS; the result stays bit-identical to a cold run.
   WorkflowHandle Submit(WorkflowSpec spec);
   WorkflowHandle Submit(WorkflowSpec spec, RunOptions options);
 
@@ -242,16 +245,6 @@ class WorkflowService {
   WorkflowHandle SubmitBlocking(WorkflowSpec spec, RunOptions options);
   WorkflowHandle SubmitBlockingAs(const std::string& tenant, WorkflowSpec spec,
                                   RunOptions options);
-
-  // Incremental resubmission (DESIGN.md "Streaming & incremental
-  // execution"): re-runs `spec` with RunOptions::incremental set, so any job
-  // whose input fingerprint — recorded by this service's earlier run of the
-  // workflow — still matches the DFS is skipped and its outputs served from
-  // storage. After a base-relation append, only the affected DAG suffix
-  // recomputes; the result is bit-identical to a cold run.
-  WorkflowHandle ResubmitIncremental(WorkflowSpec spec);
-  WorkflowHandle ResubmitIncrementalAs(const std::string& tenant,
-                                       WorkflowSpec spec, RunOptions options);
 
   // Raw-task submission (PR 8): enqueues `task` to run on a worker thread,
   // in the default tenant's fair-queue lane, blocking for queue space. The
@@ -309,8 +302,9 @@ class WorkflowService {
   FairQueue<QueueItem> queue_;
   PlanCache plan_cache_;
   // Per-job input fingerprints across every run this service executed;
-  // consulted (and required) by ResubmitIncremental. FingerprintStore is
-  // internally synchronized, so concurrent workers share it directly.
+  // a submission with RunOptions::incremental set reuses the jobs an earlier
+  // run left unchanged (DESIGN.md "Incremental execution"). FingerprintStore
+  // is internally synchronized, so concurrent workers share it directly.
   FingerprintStore fingerprints_;
 
   mutable std::mutex mu_;

@@ -8,6 +8,7 @@
 
 #include "src/base/json.h"
 #include "src/base/logging.h"
+#include "src/base/options.h"
 #include "src/base/rng.h"
 #include "src/base/strings.h"
 
@@ -175,6 +176,76 @@ TEST(JsonTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(ParseJson("1 trailing").ok());
   EXPECT_FALSE(ParseJson("\"unterminated").ok());
   EXPECT_FALSE(ParseJson("1..2").ok());
+}
+
+struct FlagTarget {
+  int64_t count = 0;
+  bool verbose = false;
+};
+
+constexpr OptionRow<FlagTarget> kFlagRows[] = {
+    {"count", "N", "how many",
+     [](std::string_view value, FlagTarget* t) -> Status {
+       MUSKETEER_ASSIGN_OR_RETURN(
+           t->count, ParseIntOption(value, 1, 9, "a count in [1, 9]"));
+       return OkStatus();
+     }},
+    {"verbose", "", "talk more\nabout it",
+     [](std::string_view value, FlagTarget* t) -> Status {
+       t->verbose = value == "1";
+       return OkStatus();
+     }},
+};
+
+TEST(OptionTableTest, AppliesFlagsThroughTheirRow) {
+  FlagTarget t;
+  auto applied = ApplyFlag<FlagTarget>(kFlagRows, "--count=7", &t);
+  ASSERT_TRUE(applied.has_value());
+  EXPECT_TRUE(applied->ok());
+  EXPECT_EQ(t.count, 7);
+  applied = ApplyFlag<FlagTarget>(kFlagRows, "--verbose", &t);
+  ASSERT_TRUE(applied.has_value());
+  EXPECT_TRUE(applied->ok());
+  EXPECT_TRUE(t.verbose);
+
+  // Unknown names and positional arguments belong to the caller.
+  EXPECT_FALSE(ApplyFlag<FlagTarget>(kFlagRows, "--other=1", &t).has_value());
+  EXPECT_FALSE(ApplyFlag<FlagTarget>(kFlagRows, "file.beer", &t).has_value());
+  EXPECT_FALSE(ApplyFlag<FlagTarget>(kFlagRows, "--counts=1", &t).has_value());
+
+  // The row's error follows the flag's name; shape errors are caught first.
+  applied = ApplyFlag<FlagTarget>(kFlagRows, "--count=10", &t);
+  ASSERT_TRUE(applied.has_value());
+  EXPECT_EQ(applied->message(), "--count needs a count in [1, 9], got '10'");
+  applied = ApplyFlag<FlagTarget>(kFlagRows, "--count", &t);
+  ASSERT_TRUE(applied.has_value());
+  EXPECT_EQ(applied->message(), "--count needs =N");
+  applied = ApplyFlag<FlagTarget>(kFlagRows, "--verbose=1", &t);
+  ASSERT_TRUE(applied.has_value());
+  EXPECT_EQ(applied->message(), "--verbose takes no value");
+  EXPECT_EQ(t.count, 7);
+}
+
+TEST(OptionTableTest, UsageAndHeaderNamesComeFromTheRows) {
+  EXPECT_EQ(OptionUsage<FlagTarget>(kFlagRows),
+            "  --count=N                      how many\n"
+            "  --verbose                      talk more\n"
+            "                                 about it\n");
+  EXPECT_EQ(OptionHeaderName("replan-threshold"), "X-Replan-Threshold");
+  EXPECT_EQ(OptionHeaderName("incremental"), "X-Incremental");
+}
+
+TEST(OptionTableTest, NumericValuesMustBeFiniteAndInRange) {
+  EXPECT_EQ(*ParseRealOption("0.5", 0, 1, "p"), 0.5);
+  for (const char* bad : {"nan", "inf", "-inf", "infinity", "1.5", "-0.1", "",
+                          "0.5x"}) {
+    EXPECT_FALSE(ParseRealOption(bad, 0, 1, "p").ok()) << bad;
+  }
+  EXPECT_EQ(*ParseIntOption("-3", -5, 5, "n"), -3);
+  EXPECT_FALSE(ParseIntOption("6", -5, 5, "n").ok());
+  EXPECT_FALSE(ParseIntOption("99999999999999999999", 0, 5, "n").ok());
+  EXPECT_EQ(ParseIntOption("x", 0, 5, "a small count").status().message(),
+            "needs a small count, got 'x'");
 }
 
 TEST(LoggingTest, LevelFiltering) {

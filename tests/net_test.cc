@@ -13,11 +13,13 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <map>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "src/base/json.h"
+#include "src/base/options.h"
 #include "src/core/musketeer.h"
 #include "src/net/client.h"
 #include "src/net/peer_dfs.h"
@@ -751,6 +753,208 @@ TEST(NetServerTest, IncrementalResubmitReusesJobsOverHttp) {
   ASSERT_NE(total_reused, nullptr) << *stats_body;
   EXPECT_GE(total_reused->number_value, reused->number_value);
 
+  server.Shutdown();
+  service.Shutdown();
+}
+
+// POSTs the join workflow with one extra header; returns the HTTP status and
+// stores the reply's ticket id (0 when none) in `*ticket`.
+int SubmitWithHeader(NetClient* client, const std::string& header,
+                     const std::string& value, uint64_t* ticket = nullptr) {
+  HttpRequest request;
+  request.method = "POST";
+  request.target = "/submit";
+  request.body = SimpleJoinBeer();
+  request.headers.emplace_back("X-Workflow-Id", "net-join");
+  request.headers.emplace_back(header, value);
+  auto reply = client->Request(request);
+  EXPECT_TRUE(reply.ok()) << reply.status();
+  if (!reply.ok()) {
+    return 0;
+  }
+  if (ticket != nullptr) {
+    auto json = ParseJson(reply->body);
+    const JsonValue* id = json.ok() ? json->Find("ticket") : nullptr;
+    *ticket = id != nullptr ? static_cast<uint64_t>(id->number_value) : 0;
+  }
+  return reply->status;
+}
+
+// Every shared run-option row parses alike as a CLI flag and as an X-*
+// header: its valid sample is accepted by both, and each invalid sample is
+// rejected by both (a flag error, an HTTP 400).
+TEST(RunOptionRowsTest, FlagAndHeaderAcceptAndRejectAlike) {
+  struct Samples {
+    std::string valid;
+    std::vector<std::string> invalid;
+  };
+  const std::map<std::string, Samples> samples = {
+      {"deadline-ms",
+       {"60000", {"0", "-5", "abc", "1.5", "99999999999999999999"}}},
+      {"incremental", {"1", {"maybe", "2", "yes"}}},
+      {"partitioner", {"dp", {"bogus", "DP"}}},
+      {"replan-threshold", {"2.5", {"-1", "nan", "inf", "abc"}}},
+  };
+  ASSERT_EQ(samples.size(), RunOptionRows().size());
+  auto summary = [](const RunOptions& o) {
+    return std::to_string(o.deadline.count()) + "/" +
+           std::to_string(o.incremental) + "/" +
+           PartitionStrategyKindName(o.planner.strategy) + "/" +
+           std::to_string(o.planner.replan_threshold);
+  };
+
+  Dfs dfs;
+  SeedDfs(&dfs);
+  WorkflowService service(&dfs, ServiceConfig{.num_workers = 1});
+  HttpServer server(&service);
+  ASSERT_TRUE(server.Start().ok());
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  for (const OptionRow<RunOptions>& row : RunOptionRows()) {
+    const std::string name(row.name);
+    auto it = samples.find(name);
+    ASSERT_NE(it, samples.end()) << "no samples for row " << name;
+    const std::string header = OptionHeaderName(name);
+
+    // A switch is given bare on the command line; its header value is "1".
+    const std::string flag = row.value.empty()
+                                 ? "--" + name
+                                 : "--" + name + "=" + it->second.valid;
+    RunOptions via_flag;
+    auto applied = ApplyFlag(RunOptionRows(), flag, &via_flag);
+    ASSERT_TRUE(applied.has_value()) << flag;
+    EXPECT_TRUE(applied->ok()) << flag << ": " << applied->message();
+    EXPECT_NE(summary(via_flag), summary(RunOptions{})) << flag;
+    EXPECT_EQ(SubmitWithHeader(&client, header, it->second.valid), 202)
+        << header << ": " << it->second.valid;
+
+    for (const std::string& bad : it->second.invalid) {
+      RunOptions ignored;
+      auto rejected =
+          ApplyFlag(RunOptionRows(), "--" + name + "=" + bad, &ignored);
+      ASSERT_TRUE(rejected.has_value()) << name;
+      EXPECT_FALSE(rejected->ok()) << "--" << name << "=" << bad;
+      EXPECT_EQ(SubmitWithHeader(&client, header, bad), 400)
+          << header << ": " << bad;
+    }
+  }
+  service.Drain();
+  server.Shutdown();
+  service.Shutdown();
+}
+
+// A valid X-Partitioner reaches the run: the ticket JSON names the strategy
+// that ran (the default would pick exhaustive on this small workflow). Bad
+// values of every run-option header are a 400.
+TEST(NetServerTest, RunOptionHeadersReachTheRunOrGet400) {
+  Dfs dfs;
+  SeedDfs(&dfs);
+  WorkflowService service(&dfs, ServiceConfig{.num_workers = 1});
+  HttpServer server(&service);
+  ASSERT_TRUE(server.Start().ok());
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  uint64_t ticket = 0;
+  ASSERT_EQ(SubmitWithHeader(&client, "X-Partitioner", "dp", &ticket), 202);
+  ASSERT_GT(ticket, 0u);
+  auto state = client.WaitTerminal(ticket, std::chrono::milliseconds(30000));
+  ASSERT_TRUE(state.ok()) << state.status();
+  ASSERT_EQ(*state, "DONE");
+  auto body = client.Get("/status/" + std::to_string(ticket));
+  ASSERT_TRUE(body.ok()) << body.status();
+  auto json = ParseJson(*body);
+  ASSERT_TRUE(json.ok()) << *body;
+  const JsonValue* strategy = json->Find("partition_strategy");
+  ASSERT_NE(strategy, nullptr) << *body;
+  EXPECT_EQ(strategy->string_value, "dp");
+
+  const std::pair<const char*, const char*> bad[] = {
+      {"X-Deadline-Ms", "0"},       {"X-Deadline-Ms", "soon"},
+      {"X-Partitioner", "bogus"},   {"X-Replan-Threshold", "-1"},
+      {"X-Replan-Threshold", "nan"}, {"X-Replan-Threshold", "inf"},
+  };
+  for (const auto& [header, value] : bad) {
+    EXPECT_EQ(SubmitWithHeader(&client, header, value), 400)
+        << header << ": " << value;
+  }
+  server.Shutdown();
+  service.Shutdown();
+}
+
+// A ticket id past uint64_t must not wrap onto a live ticket: 2^64 + 1 is
+// not ticket 1, so status, result and cancel all answer 404 and ticket 1
+// stays queued.
+TEST(NetServerTest, OverflowingTicketIdIsNotFound) {
+  Dfs dfs;
+  SeedDfs(&dfs);
+  ServiceConfig config;
+  config.num_workers = 1;
+  config.manual_start = true;
+  WorkflowService service(&dfs, config);
+  HttpServer server(&service);
+  ASSERT_TRUE(server.Start().ok());
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  auto reply = client.SubmitWorkflow({.workflow_id = "net-join"},
+                                     SimpleJoinBeer());
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ASSERT_EQ(reply->ticket, 1u);
+  const std::string wrapped = "18446744073709551617";  // 2^64 + 1
+  for (const auto& [method, prefix] :
+       {std::pair<const char*, const char*>{"GET", "/status/"},
+        {"GET", "/result/"},
+        {"POST", "/cancel/"}}) {
+    HttpRequest request;
+    request.method = method;
+    request.target = prefix + wrapped;
+    auto response = client.Request(request);
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(response->status, 404) << method << " " << request.target;
+  }
+  auto state = client.StateOf(1);
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ(*state, "QUEUED");
+
+  service.Start();
+  auto final_state = client.WaitTerminal(1, std::chrono::milliseconds(30000));
+  ASSERT_TRUE(final_state.ok()) << final_state.status();
+  EXPECT_EQ(*final_state, "DONE");
+  server.Shutdown();
+  service.Shutdown();
+}
+
+// X-Scale is a nominal size factor: NaN or infinity must not reach the DFS.
+TEST(NetServerTest, RelationPutRejectsNonFiniteScale) {
+  Dfs dfs;
+  WorkflowService service(&dfs, ServiceConfig{.num_workers = 1});
+  HttpServer server(&service);
+  ASSERT_TRUE(server.Start().ok());
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  auto put = [&](const std::string& scale) {
+    HttpRequest request;
+    request.method = "PUT";
+    request.target = "/relation/scaled";
+    request.body = "1\n2\n";
+    request.headers.emplace_back("X-Schema", "v:int");
+    request.headers.emplace_back("X-Scale", scale);
+    auto response = client.Request(request);
+    EXPECT_TRUE(response.ok()) << response.status();
+    return response.ok() ? response->status : 0;
+  };
+  for (const char* scale : {"nan", "NaN", "inf", "infinity", "1e999"}) {
+    EXPECT_EQ(put(scale), 400) << scale;
+  }
+  EXPECT_FALSE(dfs.Get("scaled").ok());
+
+  EXPECT_EQ(put("2.5"), 200);
+  auto stored = dfs.Get("scaled");
+  ASSERT_TRUE(stored.ok());
+  EXPECT_DOUBLE_EQ((*stored)->scale(), 2.5);
   server.Shutdown();
   service.Shutdown();
 }

@@ -147,6 +147,74 @@ TEST(PlannerScaleTest, AutoSwitchesToDpAboveThreshold) {
   EXPECT_FALSE(large.used_exhaustive);
 }
 
+// Every strategy kind reaches its partitioning function: names round-trip,
+// kAuto resolves to exactly the partitioning of the kind it picks, and
+// kDpMultiOrder with the orders knob untouched explores 8 orders.
+TEST(PlannerScaleTest, EveryStrategyKindReachesItsPartitioner) {
+  for (PartitionStrategyKind kind :
+       {PartitionStrategyKind::kAuto, PartitionStrategyKind::kDp,
+        PartitionStrategyKind::kExhaustive,
+        PartitionStrategyKind::kDpMultiOrder}) {
+    EXPECT_EQ(PartitionStrategyKindFromName(PartitionStrategyKindName(kind)),
+              kind);
+  }
+  EXPECT_EQ(PartitionStrategyKindFromName("dp_multi"),
+            PartitionStrategyKind::kDpMultiOrder);
+  EXPECT_FALSE(PartitionStrategyKindFromName("beam").has_value());
+
+  auto partition = [](int target, PlannerConfig config) {
+    SyntheticDagSpec spec;
+    spec.target_ops = target;
+    spec.seed = 9;
+    SyntheticDagWorkload workload = MakeSyntheticDag(spec);
+    auto dag = ParseWorkflow(FrontendLanguage::kBeer, workload.source);
+    EXPECT_TRUE(dag.ok()) << dag.status();
+    CostModel model(Ec2Cluster(16), nullptr, "syn");
+    auto sizes = model.PredictSizes(**dag, BaseSizes(workload));
+    EXPECT_TRUE(sizes.ok()) << sizes.status();
+    auto out = PartitionWorkflow(**dag, model, *sizes, config);
+    EXPECT_TRUE(out.ok()) << out.status();
+    return std::move(out).value();
+  };
+  auto expect_same = [](const Partitioning& a, const Partitioning& b) {
+    EXPECT_EQ(a.strategy, b.strategy);
+    EXPECT_EQ(a.used_exhaustive, b.used_exhaustive);
+    EXPECT_EQ(a.total_cost, b.total_cost);
+    ASSERT_EQ(a.jobs.size(), b.jobs.size());
+    for (size_t i = 0; i < a.jobs.size(); ++i) {
+      EXPECT_EQ(a.jobs[i].ops, b.jobs[i].ops) << "job " << i;
+      EXPECT_EQ(a.jobs[i].engine, b.jobs[i].engine) << "job " << i;
+    }
+  };
+
+  PlannerConfig exhaustive{.strategy = PartitionStrategyKind::kExhaustive};
+  Partitioning small = partition(8, exhaustive);
+  EXPECT_EQ(small.strategy, "exhaustive");
+  EXPECT_TRUE(small.used_exhaustive);
+  expect_same(partition(8, PlannerConfig{}), small);
+
+  PlannerConfig dp{.strategy = PartitionStrategyKind::kDp};
+  Partitioning large = partition(30, dp);
+  EXPECT_EQ(large.strategy, "dp");
+  EXPECT_FALSE(large.used_exhaustive);
+  expect_same(partition(30, PlannerConfig{}), large);
+
+  PlannerConfig multi{.strategy = PartitionStrategyKind::kDpMultiOrder,
+                      .dp_linear_orders = 4};
+  Partitioning multi4 = partition(30, multi);
+  EXPECT_EQ(multi4.strategy, "dp-multi");
+  expect_same(partition(30, PlannerConfig{.dp_linear_orders = 4}), multi4);
+
+  // Untouched orders knob: the multi-order DP explores 8 orders, which is
+  // the plain DP's search with the knob at 8 under another name.
+  Partitioning multi_default =
+      partition(30, {.strategy = PartitionStrategyKind::kDpMultiOrder});
+  Partitioning dp8 = partition(
+      30, {.strategy = PartitionStrategyKind::kDp, .dp_linear_orders = 8});
+  dp8.strategy = "dp-multi";
+  expect_same(multi_default, dp8);
+}
+
 // §8/Fig. 16 multi-order DP: seeded shuffles make the whole search a pure
 // function of the seed (bit-identical partitionings run to run), and the
 // canonical order is always explored, so more orders can only help.

@@ -446,9 +446,11 @@ TEST(ServiceIncrementalTest, ResubmitIncrementalReusesThroughTheService) {
   EXPECT_EQ(first->result()->jobs_reused, 0);
   EXPECT_GT(service.fingerprint_store()->size(), 0u);
 
-  // Unchanged resubmit through the dedicated entry point: all reused, same
-  // bits, and the plan cache still hits (fingerprints are not in the key).
-  WorkflowHandle warm = service.ResubmitIncremental(setup.workflow);
+  // Unchanged incremental resubmit: all reused, same bits, and the plan
+  // cache still hits (fingerprints are not in the key).
+  RunOptions incremental = config.default_options;
+  incremental.incremental = true;
+  WorkflowHandle warm = service.SubmitAs("", setup.workflow, incremental);
   warm->Wait();
   ASSERT_EQ(warm->state(), WorkflowState::kDone);
   ASSERT_TRUE(warm->result().ok());
@@ -463,7 +465,7 @@ TEST(ServiceIncrementalTest, ResubmitIncrementalReusesThroughTheService) {
   const std::string target = AppendTarget(setup);
   TableMap appended = AppendedInputs(setup, target);
   dfs.Put(target, appended.at(target));
-  WorkflowHandle delta = service.ResubmitIncremental(setup.workflow);
+  WorkflowHandle delta = service.SubmitAs("", setup.workflow, incremental);
   delta->Wait();
   ASSERT_EQ(delta->state(), WorkflowState::kDone);
   ASSERT_TRUE(delta->result().ok());

@@ -11,7 +11,8 @@
 # must recover, and the ExecutionContext plumbing-overhead budget inside
 # bench_service_throughput), and lastly the network front door gate (net
 # tests under TSan plus a scripted curl session against a live --listen
-# server covering submit/status/cancel/metrics, a 429 over-quota burst and
+# server covering submit/status/cancel/metrics, a 429 over-quota burst, a
+# 400 for a bad X-Partitioner, a 404 for an overflowing ticket id and
 # SIGTERM drain), then the vectorized-kernel gate (Release-build
 # thread-scaling floors in bench_columnar_ops plus the kernel,
 # engine-equivalence and engine-substrate tests under TSan at 8 threads),
@@ -165,6 +166,16 @@ test "$bob_code" = 202
 bob_ticket=$(sed -n 's/.*"ticket": \([0-9]*\).*/\1/p' "$obs_tmp/bob.json")
 curl -sf "http://127.0.0.1:7477/status/$bob_ticket" | grep -q '"state"'
 curl -sf -X POST "http://127.0.0.1:7477/cancel/$bob_ticket" | grep -q '"state"'
+
+# A malformed run-option header is refused at the edge, and a ticket id past
+# uint64_t (2^64 + 1) does not wrap onto ticket 1.
+bogus_code=$(curl -s -o /dev/null -w '%{http_code}' \
+    -X POST -H 'X-Partitioner: bogus' \
+    --data-binary @"$obs_tmp/tiny.beer" http://127.0.0.1:7477/submit)
+test "$bogus_code" = 400
+wrap_code=$(curl -s -o /dev/null -w '%{http_code}' \
+    -X POST http://127.0.0.1:7477/cancel/18446744073709551617)
+test "$wrap_code" = 404
 
 # Live metrics include connection counters and per-tenant attribution.
 curl -sf http://127.0.0.1:7477/metrics > "$obs_tmp/metrics.txt"

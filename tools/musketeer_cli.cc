@@ -4,45 +4,18 @@
 // CSV inputs, letting Musketeer choose back-end engines (or forcing them),
 // and writes result relations back to CSV. With --serve the CLI instead
 // stands up the concurrent workflow service (src/service/) and pushes every
-// given workflow file through its submission queue and worker pool.
+// given workflow file through its submission queue and worker pool; with
+// --listen it serves the network front door (src/net/).
 //
 // Usage:
 //   musketeer [options] <workflow-file>            one-shot run
 //   musketeer [options] --serve=N <files...>       service mode, N workers
+//   musketeer --help                               list every option
 //
-// Options:
-//   --language=beer|hive|gas|lindi   front-end (default: by file extension)
-//   --input=NAME=FILE:SCHEMA         input relation, e.g.
-//                                    --input=prices=prices.csv:id:int,price:double
-//   --scale=NAME=FACTOR              treat NAME as FACTOR x larger than its
-//                                    sample (simulated nominal size)
-//   --cluster=local|single|ec2:N     cluster model (default: local)
-//   --engines=naiad,hadoop,...       restrict engine choice (default: all)
-//   --output=NAME=FILE               write relation NAME to FILE as CSV
-//   --threads=N                      intra-query data-plane parallelism
-//                                    (default: MUSKETEER_THREADS env, else
-//                                    hardware concurrency)
-//   --explain                        also print IR, partitioning & job code
-//   --trace-out=FILE                 write a Chrome trace_event JSON file
-//                                    (load in chrome://tracing / Perfetto)
-//   --metrics                        dump the metrics registry on exit
-//   --history-file=FILE              load relation-size history before the
-//                                    run and save it back after (JSON)
-//   --serve=N                        run a workflow service with N workers;
-//                                    every positional file is submitted
-//   --shards=M                       one-shot across M in-process DFS shards
-//                                    (locality-aware placement; outputs are
-//                                    bit-identical to --shards=1 at any M)
-//   --placement=locality|random      shard placement policy
-//   --shard-fault=SHARD@N            kill a shard's compute mid-run (demo of
-//                                    next-cheapest-shard failover)
-//   --shard-of=K/M --peers=...       socket mode: serve shard K of an
-//                                    M-process cluster (compose with
-//                                    --listen; peers exchange relations over
-//                                    GET/PUT /relation/<name>)
-//   --repeat=K                       service mode: submit each file K times
-//   --queue=CAP                      service mode: submission queue bound
-//   --no-plan-cache                  service mode: disable the plan cache
+// Each option is one row of kCliOptions below, or of RunOptionRows()
+// (src/core/musketeer.h) for the run options the network front door also
+// takes as X-* headers. A row holds the option's name, value hint, help
+// text and parser, and --help prints the rows.
 //
 // Example:
 //   ./build/tools/musketeer --input=purchases=p.csv:uid:int,region:int,amount:double
@@ -54,11 +27,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "src/base/options.h"
 #include "src/base/parallel.h"
 #include "src/base/strings.h"
 #include "src/cluster/sharded_dfs.h"
@@ -68,7 +43,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/relational/csv.h"
-#include "src/scheduler/partition_strategy.h"
 #include "src/service/service.h"
 #include "src/service/shard_coordinator.h"
 
@@ -76,112 +50,374 @@ using namespace musketeer;
 
 namespace {
 
+constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr int64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
+
 int Fail(const std::string& message) {
   std::fprintf(stderr, "musketeer: %s\n", message.c_str());
   return 1;
 }
 
-std::optional<FrontendLanguage> LanguageFromName(const std::string& name) {
-  if (EqualsIgnoreCase(name, "beer")) {
-    return FrontendLanguage::kBeer;
-  }
-  if (EqualsIgnoreCase(name, "hive")) {
-    return FrontendLanguage::kHive;
-  }
-  if (EqualsIgnoreCase(name, "gas")) {
-    return FrontendLanguage::kGas;
-  }
-  if (EqualsIgnoreCase(name, "lindi")) {
-    return FrontendLanguage::kLindi;
-  }
-  return std::nullopt;
-}
-
-std::optional<EngineKind> EngineFromName(const std::string& name) {
-  for (EngineKind kind : kAllEngines) {
-    if (EqualsIgnoreCase(name, EngineKindName(kind))) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
-// "id:int,street:string,price:double" -> Schema.
-std::optional<Schema> ParseSchemaSpec(const std::string& spec) {
+// Input relations are parsed with the flags but loaded only after the
+// storage layer (plain, sharded, or peer) is chosen.
+struct CliInput {
+  std::string name;
+  std::string file;
   Schema schema;
-  for (const std::string& field : StrSplit(spec, ',')) {
-    std::vector<std::string> parts = StrSplit(field, ':');
-    if (parts.size() != 2) {
-      return std::nullopt;
-    }
-    FieldType type;
-    if (EqualsIgnoreCase(parts[1], "int")) {
-      type = FieldType::kInt64;
-    } else if (EqualsIgnoreCase(parts[1], "double")) {
-      type = FieldType::kDouble;
-    } else if (EqualsIgnoreCase(parts[1], "string")) {
-      type = FieldType::kString;
-    } else {
-      return std::nullopt;
-    }
-    schema.AddField({std::string(StripWhitespace(parts[0])), type});
+};
+
+// Everything the command line sets.
+struct CliArgs {
+  RunOptions options;  // also the target of RunOptionRows()
+  std::optional<FrontendLanguage> language;
+  std::vector<CliInput> inputs;
+  std::vector<std::pair<std::string, double>> scales;
+  std::vector<std::pair<std::string, std::string>> outputs;  // relation, file
+  bool explain = false;
+  std::string trace_out;
+  std::string history_file;
+  bool dump_metrics = false;
+  int serve_workers = 0;  // 0 = one-shot mode
+  int repeat = 1;
+  size_t queue_capacity = 64;
+  bool plan_cache = true;
+  int listen_port = -1;  // >= 0 = network server mode (0 picks a free port)
+  std::chrono::milliseconds dispatch_latency{0};
+  std::chrono::milliseconds keepalive_timeout{0};  // 0 = never reaped
+  std::vector<std::pair<std::string, TenantQuota>> tenant_quotas;
+  int num_shards = 0;  // >= 1 = in-process sharded one-shot mode
+  PlacementPolicy placement = PlacementPolicy::kLocality;
+  int shard_fault = -1;
+  int shard_fault_after = 0;
+  int shard_of_k = -1;  // >= 0 = socket shard mode (--shard-of=K/M)
+  int shard_of_m = 0;
+  std::vector<PeerAddress> peer_addrs;
+  bool peers_given = false;
+};
+
+// "a<sep>b" -> {a, b}, split at the first `sep`; nullopt without one.
+std::optional<std::pair<std::string, std::string>> SplitAt(
+    std::string_view spec, char sep) {
+  size_t at = spec.find(sep);
+  if (at == std::string_view::npos) {
+    return std::nullopt;
   }
-  return schema.num_fields() > 0 ? std::optional<Schema>(schema) : std::nullopt;
+  return std::make_pair(std::string(spec.substr(0, at)),
+                        std::string(spec.substr(at + 1)));
 }
+
+// Parses an int option into `*out`.
+Status SetInt(std::string_view value, int64_t min, int64_t max,
+              std::string_view what, int* out) {
+  MUSKETEER_ASSIGN_OR_RETURN(int64_t n, ParseIntOption(value, min, max, what));
+  *out = static_cast<int>(n);
+  return OkStatus();
+}
+
+Status SetMillis(std::string_view value, std::string_view what,
+                 std::chrono::milliseconds* out) {
+  MUSKETEER_ASSIGN_OR_RETURN(int64_t ms,
+                             ParseIntOption(value, 0, kMaxInt64, what));
+  *out = std::chrono::milliseconds(ms);
+  return OkStatus();
+}
+
+Status SetFileName(std::string_view value, std::string* out) {
+  if (value.empty()) {
+    return InvalidArgumentError("needs a file name");
+  }
+  *out = std::string(value);
+  return OkStatus();
+}
+
+// "alice=3:8:2" -> {weight 3, max_queued 8, max_in_flight 2}. Queued and
+// in-flight caps are optional (0 = unbounded beyond the global queue).
+std::optional<std::pair<std::string, TenantQuota>> ParseQuotaSpec(
+    std::string_view spec) {
+  auto tenant = SplitAt(spec, '=');
+  if (!tenant.has_value() || tenant->first.empty()) {
+    return std::nullopt;
+  }
+  std::vector<std::string> parts = StrSplit(tenant->second, ':');
+  if (parts.size() > 3) {
+    return std::nullopt;
+  }
+  std::optional<int64_t> caps[3] = {std::nullopt, 0, 0};
+  for (size_t i = 0; i < parts.size(); ++i) {
+    caps[i] = ParseInt64(parts[i]);
+    if (!caps[i].has_value() || *caps[i] < (i == 0 ? 1 : 0) ||
+        *caps[i] > kMaxInt) {
+      return std::nullopt;
+    }
+  }
+  TenantQuota quota;
+  quota.weight = static_cast<int>(*caps[0]);
+  quota.max_queued = static_cast<size_t>(*caps[1]);
+  quota.max_in_flight = static_cast<int>(*caps[2]);
+  return std::make_pair(tenant->first, quota);
+}
+
+// The CLI's own options; the shared run options are RunOptionRows().
+constexpr OptionRow<CliArgs> kCliOptions[] = {
+    {"language", "beer|hive|gas|lindi",
+     "front-end (default: by file extension)",
+     [](std::string_view value, CliArgs* args) -> Status {
+       args->language = FrontendLanguageFromName(value);
+       return args->language.has_value()
+                  ? OkStatus()
+                  : OptionValueError(value, "one of beer|hive|gas|lindi");
+     }},
+    {"input", "NAME=FILE:SCHEMA",
+     "input relation; SCHEMA is col:TYPE,...\n"
+     "with TYPE int|double|string, e.g.\n"
+     "--input=prices=prices.csv:id:int,price:double",
+     [](std::string_view value, CliArgs* args) -> Status {
+       auto named = SplitAt(value, '=');
+       auto file =
+           named.has_value() ? SplitAt(named->second, ':') : std::nullopt;
+       auto schema = file.has_value() ? ParseSchemaSpec(file->second)
+                                      : std::nullopt;
+       if (!schema.has_value()) {
+         return OptionValueError(value, "NAME=FILE:SCHEMA");
+       }
+       args->inputs.push_back({named->first, file->first, std::move(*schema)});
+       return OkStatus();
+     }},
+    {"scale", "NAME=FACTOR",
+     "treat NAME as FACTOR x larger than its\n"
+     "sample (simulated nominal size)",
+     [](std::string_view value, CliArgs* args) -> Status {
+       auto named = SplitAt(value, '=');
+       auto factor = ParseRealOption(
+           named.has_value() ? named->second : std::string(), 0,
+           std::numeric_limits<double>::max(), "");
+       if (!factor.ok() || *factor == 0) {
+         return OptionValueError(value, "NAME=FACTOR with a finite FACTOR > 0");
+       }
+       args->scales.emplace_back(named->first, *factor);
+       return OkStatus();
+     }},
+    {"cluster", "local|single|ec2:N", "cluster model (default: local)",
+     [](std::string_view value, CliArgs* args) -> Status {
+       if (value == "local") {
+         args->options.cluster = LocalCluster();
+       } else if (value == "single") {
+         args->options.cluster = SingleMachine();
+       } else if (auto n = StartsWith(value, "ec2:")
+                               ? ParseInt64(value.substr(4))
+                               : std::nullopt;
+                  n.has_value() && *n >= 1 && *n <= kMaxInt) {
+         args->options.cluster = Ec2Cluster(static_cast<int>(*n));
+       } else {
+         return OptionValueError(value, "local, single or ec2:N with N >= 1");
+       }
+       return OkStatus();
+     }},
+    {"engines", "naiad,hadoop,...", "restrict engine choice (default: all)",
+     [](std::string_view value, CliArgs* args) -> Status {
+       for (const std::string& name : StrSplit(value, ',')) {
+         auto kind = EngineKindFromName(name);
+         if (!kind.has_value()) {
+           return OptionValueError(name, "engine names like naiad,hadoop");
+         }
+         args->options.engines.push_back(*kind);
+       }
+       return OkStatus();
+     }},
+    {"output", "NAME=FILE", "write relation NAME to FILE as CSV",
+     [](std::string_view value, CliArgs* args) -> Status {
+       auto named = SplitAt(value, '=');
+       if (!named.has_value()) {
+         return OptionValueError(value, "NAME=FILE");
+       }
+       args->outputs.push_back(std::move(*named));
+       return OkStatus();
+     }},
+    {"threads", "N",
+     "intra-query data-plane parallelism\n"
+     "(default: MUSKETEER_THREADS env, else\n"
+     "hardware concurrency)",
+     [](std::string_view value, CliArgs*) -> Status {
+       int threads = 0;
+       MUSKETEER_RETURN_IF_ERROR(
+           SetInt(value, 1, kMaxInt, "a thread count >= 1", &threads));
+       SetParallelThreads(threads);
+       return OkStatus();
+     }},
+    {"explain", "", "also print IR, partitioning & job code",
+     [](std::string_view, CliArgs* args) -> Status {
+       args->explain = true;
+       return OkStatus();
+     }},
+    {"trace-out", "FILE",
+     "write a Chrome trace_event JSON file\n"
+     "(load in chrome://tracing / Perfetto)",
+     [](std::string_view value, CliArgs* args) -> Status {
+       return SetFileName(value, &args->trace_out);
+     }},
+    {"metrics", "", "dump the metrics registry on exit",
+     [](std::string_view, CliArgs* args) -> Status {
+       args->dump_metrics = true;
+       return OkStatus();
+     }},
+    {"history-file", "FILE",
+     "load relation-size history before the\n"
+     "run and save it back after (JSON)",
+     [](std::string_view value, CliArgs* args) -> Status {
+       return SetFileName(value, &args->history_file);
+     }},
+    {"max-retries", "N", "per-engine retries per job",
+     [](std::string_view value, CliArgs* args) -> Status {
+       int retries = 0;
+       MUSKETEER_RETURN_IF_ERROR(
+           SetInt(value, 0, kMaxInt - 1, "a count >= 0", &retries));
+       args->options.retry.max_attempts = retries + 1;
+       return OkStatus();
+     }},
+    {"fault-rate", "F", "seeded fault-injection probability",
+     [](std::string_view value, CliArgs* args) -> Status {
+       MUSKETEER_ASSIGN_OR_RETURN(
+           args->options.fault_rate,
+           ParseRealOption(value, 0, 1, "a probability in [0, 1]"));
+       return OkStatus();
+     }},
+    {"fault-seed", "S", "fault-injection seed",
+     [](std::string_view value, CliArgs* args) -> Status {
+       MUSKETEER_ASSIGN_OR_RETURN(
+           int64_t seed,
+           ParseIntOption(value, std::numeric_limits<int64_t>::min(),
+                          kMaxInt64, "an integer"));
+       args->options.fault_seed = static_cast<uint64_t>(seed);
+       return OkStatus();
+     }},
+    {"no-failover", "", "disable cross-engine failover",
+     [](std::string_view, CliArgs* args) -> Status {
+       args->options.retry.enable_failover = false;
+       return OkStatus();
+     }},
+    {"serve", "N",
+     "run a workflow service with N workers;\n"
+     "every positional file is submitted",
+     [](std::string_view value, CliArgs* args) -> Status {
+       return SetInt(value, 1, kMaxInt, "a worker count >= 1",
+                     &args->serve_workers);
+     }},
+    {"repeat", "K", "service mode: submit each file K times",
+     [](std::string_view value, CliArgs* args) -> Status {
+       return SetInt(value, 1, kMaxInt, "a count >= 1", &args->repeat);
+     }},
+    {"queue", "CAP", "service mode: submission queue bound",
+     [](std::string_view value, CliArgs* args) -> Status {
+       MUSKETEER_ASSIGN_OR_RETURN(
+           int64_t cap, ParseIntOption(value, 1, kMaxInt64, "a capacity >= 1"));
+       args->queue_capacity = static_cast<size_t>(cap);
+       return OkStatus();
+     }},
+    {"no-plan-cache", "", "service mode: disable the plan cache",
+     [](std::string_view, CliArgs* args) -> Status {
+       args->plan_cache = false;
+       return OkStatus();
+     }},
+    {"listen", "PORT",
+     "serve HTTP + line protocol (0 = any free\n"
+     "port); compose with --serve=N for the\n"
+     "worker count; Ctrl-C drains and exits",
+     [](std::string_view value, CliArgs* args) -> Status {
+       return SetInt(value, 0, 65535, "a port in [0, 65535] (0 = ephemeral)",
+                     &args->listen_port);
+     }},
+    {"quota", "TENANT=W[:QUEUED[:INFLIGHT]]",
+     "fair-share weight and queued/in-flight\n"
+     "caps of one tenant",
+     [](std::string_view value, CliArgs* args) -> Status {
+       auto quota = ParseQuotaSpec(value);
+       if (!quota.has_value()) {
+         return OptionValueError(value,
+                                 "TENANT=WEIGHT[:MAX_QUEUED[:MAX_INFLIGHT]]");
+       }
+       args->tenant_quotas.push_back(std::move(*quota));
+       return OkStatus();
+     }},
+    {"keepalive-timeout-ms", "N",
+     "close idle keep-alive connections after\n"
+     "N ms; 0 = never, the default",
+     [](std::string_view value, CliArgs* args) -> Status {
+       return SetMillis(value, "a timeout >= 0 (0 = off)",
+                        &args->keepalive_timeout);
+     }},
+    {"dispatch-latency-ms", "N",
+     "simulated per-job engine dispatch wait\n"
+     "in service/listen mode",
+     [](std::string_view value, CliArgs* args) -> Status {
+       return SetMillis(value, "a wait >= 0", &args->dispatch_latency);
+     }},
+    {"shards", "M",
+     "one-shot across M in-process DFS shards\n"
+     "(locality-aware placement; outputs are\n"
+     "bit-identical to --shards=1 at any M)",
+     [](std::string_view value, CliArgs* args) -> Status {
+       return SetInt(value, 1, 64, "a shard count in [1, 64]",
+                     &args->num_shards);
+     }},
+    {"placement", "locality|random", "shard placement policy",
+     [](std::string_view value, CliArgs* args) -> Status {
+       auto policy = PlacementPolicyFromName(std::string(value));
+       if (!policy.has_value()) {
+         return OptionValueError(value, "locality or random");
+       }
+       args->placement = *policy;
+       return OkStatus();
+     }},
+    {"shard-fault", "SHARD@N",
+     "kill SHARD's compute after N job\n"
+     "dispatches; its data stays readable",
+     [](std::string_view value, CliArgs* args) -> Status {
+       auto parts = SplitAt(value, '@');
+       if (!parts.has_value() ||
+           !SetInt(parts->first, 0, kMaxInt, "", &args->shard_fault).ok() ||
+           !SetInt(parts->second, 0, kMaxInt, "", &args->shard_fault_after)
+                .ok()) {
+         return OptionValueError(value, "SHARD@DISPATCHES");
+       }
+       return OkStatus();
+     }},
+    {"shard-of", "K/M",
+     "serve shard K of an M-process cluster;\n"
+     "compose with --listen and --peers",
+     [](std::string_view value, CliArgs* args) -> Status {
+       auto parts = SplitAt(value, '/');
+       if (!parts.has_value() ||
+           !SetInt(parts->second, 1, kMaxInt, "", &args->shard_of_m).ok() ||
+           !SetInt(parts->first, 0, args->shard_of_m - 1, "",
+                   &args->shard_of_k)
+                .ok()) {
+         return OptionValueError(value, "K/M with 0 <= K < M");
+       }
+       return OkStatus();
+     }},
+    {"peers", "H:P,...",
+     "one host:port per shard, '-' for this\n"
+     "process's slot; each process loads only\n"
+     "the --input relations its shard owns",
+     [](std::string_view value, CliArgs* args) -> Status {
+       auto parsed = ParsePeerList(std::string(value));
+       if (!parsed.has_value()) {
+         return OptionValueError(value,
+                                 "host:port,host:port,... ('-' = own slot)");
+       }
+       args->peer_addrs = std::move(*parsed);
+       args->peers_given = true;
+       return OkStatus();
+     }},
+};
 
 void PrintUsage() {
-  std::printf(
-      "usage: musketeer [options] <workflow-file>\n"
-      "       musketeer [options] --serve=N <workflow-files...>\n"
-      "  --language=beer|hive|gas|lindi\n"
-      "  --input=NAME=FILE:SCHEMA      (SCHEMA: col:int|double|string,...)\n"
-      "  --scale=NAME=FACTOR\n"
-      "  --cluster=local|single|ec2:N\n"
-      "  --engines=naiad,hadoop,...\n"
-      "  --output=NAME=FILE\n"
-      "  --threads=N                   (default: MUSKETEER_THREADS env,\n"
-      "                                 else hardware concurrency)\n"
-      "  --explain\n"
-      "  --trace-out=FILE --metrics --history-file=FILE\n"
-      "  --serve=N --repeat=K --queue=CAP --no-plan-cache\n"
-      "  --shards=M                    (one-shot over M in-process DFS shards\n"
-      "                                 with locality-aware job placement)\n"
-      "  --placement=locality|random   (shard placement policy, default\n"
-      "                                 locality)\n"
-      "  --shard-fault=SHARD@N         (kill SHARD's compute after N job\n"
-      "                                 dispatches; its data stays readable)\n"
-      "  --shard-of=K/M --peers=H:P,...  (serve shard K of an M-process\n"
-      "                                 cluster; compose with --listen. The\n"
-      "                                 peer list has one host:port per\n"
-      "                                 shard, '-' for this process's slot;\n"
-      "                                 each process loads only the --input\n"
-      "                                 relations its shard owns)\n"
-      "  --listen=PORT                 (serve HTTP + line protocol; compose\n"
-      "                                 with --serve=N for the worker count,\n"
-      "                                 Ctrl-C drains and exits)\n"
-      "  --quota=TENANT=W[:QUEUED[:INFLIGHT]]  (fair-share weight and caps)\n"
-      "  --keepalive-timeout-ms=N      (close idle keep-alive connections\n"
-      "                                 after N ms; 0 = never, the default)\n"
-      "  --dispatch-latency-ms=N       (simulated per-job engine dispatch\n"
-      "                                 wait in service/listen mode)\n"
-      "  --deadline-ms=N               (workflow budget incl. queue wait)\n"
-      "  --max-retries=N               (per-engine retries per job)\n"
-      "  --fault-rate=F --fault-seed=S (seeded fault injection)\n"
-      "  --no-failover                 (disable cross-engine failover)\n"
-      "  --incremental                 (reuse jobs whose input fingerprints\n"
-      "                                 are unchanged since the last run —\n"
-      "                                 with --serve/--listen, resubmits\n"
-      "                                 recompute only the affected DAG\n"
-      "                                 suffix)\n"
-      "  --partitioner=auto|dp|exhaustive|dp-multi\n"
-      "                                (partitioning strategy; auto picks\n"
-      "                                 exhaustive below the op threshold,\n"
-      "                                 DP above it. Names registered via\n"
-      "                                 PartitionStrategyRegistry also work)\n"
-      "  --replan-threshold=R          (re-plan the remaining DAG when a\n"
-      "                                 job's measured runtime is off by\n"
-      "                                 more than Rx from its prediction;\n"
-      "                                 0 = off, needs runtime history)\n");
+  std::printf("usage: musketeer [options] <workflow-file>\n"
+              "       musketeer [options] --serve=N <workflow-files...>\n"
+              "%s%s%s",
+              OptionUsageLine("help", "", "print this text").c_str(),
+              OptionUsage<CliArgs>(kCliOptions).c_str(),
+              OptionUsage(RunOptionRows()).c_str());
 }
 
 // Infers the front-end language for `path` from --language or the extension.
@@ -194,7 +430,7 @@ std::optional<FrontendLanguage> LanguageForFile(
   if (dot == std::string::npos) {
     return std::nullopt;
   }
-  return LanguageFromName(path.substr(dot + 1));
+  return FrontendLanguageFromName(path.substr(dot + 1));
 }
 
 std::optional<WorkflowSpec> LoadWorkflowFile(
@@ -216,39 +452,19 @@ std::optional<WorkflowSpec> LoadWorkflowFile(
   return spec;
 }
 
-// "alice=3:8:2" -> {weight 3, max_queued 8, max_in_flight 2}. Queued and
-// in-flight caps are optional (0 = unbounded beyond the global queue).
-std::optional<std::pair<std::string, TenantQuota>> ParseQuotaSpec(
-    const std::string& spec) {
-  size_t eq = spec.find('=');
-  if (eq == std::string::npos || eq == 0) {
-    return std::nullopt;
-  }
-  std::vector<std::string> parts = StrSplit(spec.substr(eq + 1), ':');
-  if (parts.empty() || parts.size() > 3) {
-    return std::nullopt;
-  }
-  TenantQuota quota;
-  auto weight = ParseInt64(parts[0]);
-  if (!weight.has_value() || *weight < 1) {
-    return std::nullopt;
-  }
-  quota.weight = static_cast<int>(*weight);
-  if (parts.size() > 1) {
-    auto queued = ParseInt64(parts[1]);
-    if (!queued.has_value() || *queued < 0) {
-      return std::nullopt;
-    }
-    quota.max_queued = static_cast<size_t>(*queued);
-  }
-  if (parts.size() > 2) {
-    auto in_flight = ParseInt64(parts[2]);
-    if (!in_flight.has_value() || *in_flight < 0) {
-      return std::nullopt;
-    }
-    quota.max_in_flight = static_cast<int>(*in_flight);
-  }
-  return std::make_pair(spec.substr(0, eq), quota);
+// The workflow service both service modes (--serve, --listen) stand up.
+ServiceConfig MakeServiceConfig(const CliArgs& args, int workers,
+                                const RunOptions& options,
+                                HistoryStore* history) {
+  ServiceConfig config;
+  config.num_workers = workers;
+  config.queue_capacity = args.queue_capacity;
+  config.plan_cache_capacity = args.plan_cache ? 128 : 0;
+  config.dispatch_latency = args.dispatch_latency;
+  config.default_options = options;
+  config.default_options.history = history;
+  config.tenant_quotas = args.tenant_quotas;
+  return config;
 }
 
 // SIGINT/SIGTERM set a flag; the listen loop polls it so shutdown runs on
@@ -262,26 +478,11 @@ void HandleStopSignal(int) { g_stop_requested.store(true); }
 // submitted once at startup (a warm-up batch); remote clients then submit
 // over HTTP or the line protocol.
 int RunListen(Dfs* dfs, const std::vector<std::string>& paths,
-              std::optional<FrontendLanguage> forced_language,
-              const RunOptions& base_options, int workers, uint16_t port,
-              size_t queue_capacity, bool plan_cache,
-              std::chrono::milliseconds dispatch_latency,
-              std::chrono::milliseconds keepalive_timeout,
-              const std::vector<std::pair<std::string, TenantQuota>>& quotas,
-              HistoryStore* history, RuntimeHistory* runtime_history) {
-  ServiceConfig config;
-  config.num_workers = workers;
-  config.queue_capacity = queue_capacity;
-  config.plan_cache_capacity = plan_cache ? 128 : 0;
-  config.dispatch_latency = dispatch_latency;
-  config.default_options = base_options;
-  config.default_options.history = history;
-  config.default_options.runtime_history = runtime_history;
-  config.tenant_quotas = quotas;
+              const CliArgs& args, const ServiceConfig& config) {
   WorkflowService service(dfs, config);
 
   for (const std::string& path : paths) {
-    auto spec = LoadWorkflowFile(path, forced_language);
+    auto spec = LoadWorkflowFile(path, args.language);
     if (!spec.has_value()) {
       return Fail("cannot load workflow '" + path +
                   "' (missing file or unknown language)");
@@ -290,8 +491,8 @@ int RunListen(Dfs* dfs, const std::vector<std::string>& paths,
   }
 
   ServerConfig server_config;
-  server_config.port = port;
-  server_config.keepalive_timeout = keepalive_timeout;
+  server_config.port = static_cast<uint16_t>(args.listen_port);
+  server_config.keepalive_timeout = args.keepalive_timeout;
   HttpServer server(&service, server_config);
   Status started = server.Start();
   if (!started.ok()) {
@@ -299,7 +500,7 @@ int RunListen(Dfs* dfs, const std::vector<std::string>& paths,
   }
   std::printf("musketeer: listening on 127.0.0.1:%u (%d worker(s)); "
               "Ctrl-C to drain and exit\n",
-              server.port(), workers);
+              server.port(), config.num_workers);
   std::fflush(stdout);
 
   std::signal(SIGINT, HandleStopSignal);
@@ -327,13 +528,10 @@ int RunListen(Dfs* dfs, const std::vector<std::string>& paths,
 // Service mode: submit every workflow file `repeat` times through the
 // concurrent service and report per-submission status plus throughput.
 int RunServe(Dfs* dfs, const std::vector<std::string>& paths,
-             std::optional<FrontendLanguage> forced_language,
-             const RunOptions& base_options, int workers, int repeat,
-             size_t queue_capacity, bool plan_cache, HistoryStore* history,
-             RuntimeHistory* runtime_history) {
+             const CliArgs& args, const ServiceConfig& config) {
   std::vector<WorkflowSpec> specs;
   for (const std::string& path : paths) {
-    auto spec = LoadWorkflowFile(path, forced_language);
+    auto spec = LoadWorkflowFile(path, args.language);
     if (!spec.has_value()) {
       return Fail("cannot load workflow '" + path +
                   "' (missing file or unknown language)");
@@ -341,18 +539,11 @@ int RunServe(Dfs* dfs, const std::vector<std::string>& paths,
     specs.push_back(std::move(*spec));
   }
 
-  ServiceConfig config;
-  config.num_workers = workers;
-  config.queue_capacity = queue_capacity;
-  config.plan_cache_capacity = plan_cache ? 128 : 0;
-  config.default_options = base_options;
-  config.default_options.history = history;
-  config.default_options.runtime_history = runtime_history;
   WorkflowService service(dfs, config);
 
   const auto start = std::chrono::steady_clock::now();
   std::vector<WorkflowHandle> handles;
-  for (int r = 0; r < repeat; ++r) {
+  for (int r = 0; r < args.repeat; ++r) {
     for (const WorkflowSpec& spec : specs) {
       handles.push_back(service.SubmitBlocking(spec));
     }
@@ -388,7 +579,7 @@ int RunServe(Dfs* dfs, const std::vector<std::string>& paths,
       (unsigned long long)stats.plan_cache_hits,
       (unsigned long long)stats.plan_cache_misses);
   std::printf("%d worker(s): %zu submissions in %.3f s = %.1f submissions/s\n",
-              workers, handles.size(), elapsed,
+              config.num_workers, handles.size(), elapsed,
               elapsed > 0 ? handles.size() / elapsed : 0.0);
   return stats.failed == 0 && stats.rejected == 0 ? 0 : 1;
 }
@@ -396,333 +587,22 @@ int RunServe(Dfs* dfs, const std::vector<std::string>& paths,
 }  // namespace
 
 int main(int argc, char** argv) {
+  CliArgs args;
   std::vector<std::string> workflow_paths;
-  std::optional<FrontendLanguage> language;
-  ClusterConfig cluster = LocalCluster();
-  std::vector<EngineKind> engines;
-  std::vector<std::pair<std::string, std::string>> outputs;  // relation, file
-  bool explain = false;
-  int serve_workers = 0;  // 0 = one-shot mode
-  int listen_port = -1;   // >= 0 = network server mode (0 picks a free port)
-  int64_t dispatch_latency_ms = 0;
-  int64_t keepalive_timeout_ms = 0;  // 0 = idle connections never reaped
-  std::vector<std::pair<std::string, TenantQuota>> tenant_quotas;
-  int repeat = 1;
-  int64_t queue_capacity = 64;
-  bool plan_cache = true;
-  int64_t deadline_ms = 0;
-  int64_t max_retries = 0;
-  double fault_rate = 0;
-  int64_t fault_seed = 0;
-  bool failover = true;
-  std::string trace_out;
-  std::string history_file;
-  bool dump_metrics = false;
-  int num_shards = 0;      // >= 1 = in-process sharded one-shot mode
-  PlacementPolicy placement = PlacementPolicy::kLocality;
-  int shard_fault = -1;
-  int64_t shard_fault_after = 0;
-  int shard_of_k = -1;     // >= 0 = socket shard mode (--shard-of=K/M)
-  int shard_of_m = 0;
-  std::vector<PeerAddress> peer_addrs;
-  bool peers_given = false;
-  bool incremental = false;
-  std::string partitioner;         // "" = planner default (auto)
-  double replan_threshold = -1;    // < 0 = off (planner default)
-
-  // Input relations are parsed now but loaded only after the storage layer
-  // (plain, sharded, or peer) is chosen.
-  struct CliInput {
-    std::string name;
-    std::string file;
-    Schema schema;
-  };
-  std::vector<CliInput> inputs;
-  std::vector<std::pair<std::string, double>> scales;
-
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
+    const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       PrintUsage();
       return 0;
     }
-    if (arg == "--explain") {
-      explain = true;
-      continue;
+    std::optional<Status> applied = ApplyFlag<CliArgs>(kCliOptions, arg, &args);
+    if (!applied.has_value()) {
+      applied = ApplyFlag(RunOptionRows(), arg, &args.options);
     }
-    if (StartsWith(arg, "--serve=")) {
-      auto n = ParseInt64(arg.substr(8));
-      if (!n.has_value() || *n < 1) {
-        return Fail("--serve needs a worker count >= 1");
+    if (applied.has_value()) {
+      if (!applied->ok()) {
+        return Fail(applied->message());
       }
-      serve_workers = static_cast<int>(*n);
-      continue;
-    }
-    if (StartsWith(arg, "--listen=")) {
-      auto n = ParseInt64(arg.substr(9));
-      if (!n.has_value() || *n < 0 || *n > 65535) {
-        return Fail("--listen needs a port in [0, 65535] (0 = ephemeral)");
-      }
-      listen_port = static_cast<int>(*n);
-      continue;
-    }
-    if (StartsWith(arg, "--quota=")) {
-      auto quota = ParseQuotaSpec(arg.substr(8));
-      if (!quota.has_value()) {
-        return Fail("--quota needs TENANT=WEIGHT[:MAX_QUEUED[:MAX_INFLIGHT]]");
-      }
-      tenant_quotas.push_back(std::move(*quota));
-      continue;
-    }
-    if (StartsWith(arg, "--keepalive-timeout-ms=")) {
-      auto n = ParseInt64(arg.substr(23));
-      if (!n.has_value() || *n < 0) {
-        return Fail("--keepalive-timeout-ms needs a timeout >= 0 (0 = off)");
-      }
-      keepalive_timeout_ms = *n;
-      continue;
-    }
-    if (StartsWith(arg, "--dispatch-latency-ms=")) {
-      auto n = ParseInt64(arg.substr(22));
-      if (!n.has_value() || *n < 0) {
-        return Fail("--dispatch-latency-ms needs a wait >= 0");
-      }
-      dispatch_latency_ms = *n;
-      continue;
-    }
-    if (StartsWith(arg, "--repeat=")) {
-      auto n = ParseInt64(arg.substr(9));
-      if (!n.has_value() || *n < 1) {
-        return Fail("--repeat needs a count >= 1");
-      }
-      repeat = static_cast<int>(*n);
-      continue;
-    }
-    if (StartsWith(arg, "--queue=")) {
-      auto n = ParseInt64(arg.substr(8));
-      if (!n.has_value() || *n < 1) {
-        return Fail("--queue needs a capacity >= 1");
-      }
-      queue_capacity = *n;
-      continue;
-    }
-    if (arg == "--no-plan-cache") {
-      plan_cache = false;
-      continue;
-    }
-    if (StartsWith(arg, "--deadline-ms=")) {
-      auto n = ParseInt64(arg.substr(14));
-      if (!n.has_value() || *n < 1) {
-        return Fail("--deadline-ms needs a budget >= 1");
-      }
-      deadline_ms = *n;
-      continue;
-    }
-    if (StartsWith(arg, "--max-retries=")) {
-      auto n = ParseInt64(arg.substr(14));
-      if (!n.has_value() || *n < 0) {
-        return Fail("--max-retries needs a count >= 0");
-      }
-      max_retries = *n;
-      continue;
-    }
-    if (StartsWith(arg, "--fault-rate=")) {
-      auto f = ParseDouble(arg.substr(13));
-      if (!f.has_value() || *f < 0 || *f > 1) {
-        return Fail("--fault-rate needs a probability in [0, 1]");
-      }
-      fault_rate = *f;
-      continue;
-    }
-    if (StartsWith(arg, "--fault-seed=")) {
-      auto n = ParseInt64(arg.substr(13));
-      if (!n.has_value()) {
-        return Fail("--fault-seed needs an integer");
-      }
-      fault_seed = *n;
-      continue;
-    }
-    if (arg == "--no-failover") {
-      failover = false;
-      continue;
-    }
-    if (StartsWith(arg, "--trace-out=")) {
-      trace_out = arg.substr(12);
-      if (trace_out.empty()) {
-        return Fail("--trace-out needs a file name");
-      }
-      continue;
-    }
-    if (StartsWith(arg, "--history-file=")) {
-      history_file = arg.substr(15);
-      if (history_file.empty()) {
-        return Fail("--history-file needs a file name");
-      }
-      continue;
-    }
-    if (arg == "--metrics") {
-      dump_metrics = true;
-      continue;
-    }
-    if (StartsWith(arg, "--threads=")) {
-      auto n = ParseInt64(arg.substr(10));
-      if (!n.has_value() || *n < 1) {
-        return Fail("--threads needs a thread count >= 1");
-      }
-      SetParallelThreads(static_cast<int>(*n));
-      continue;
-    }
-    if (StartsWith(arg, "--language=")) {
-      language = LanguageFromName(arg.substr(11));
-      if (!language.has_value()) {
-        return Fail("unknown language in " + arg);
-      }
-      continue;
-    }
-    if (StartsWith(arg, "--cluster=")) {
-      std::string spec = arg.substr(10);
-      if (spec == "local") {
-        cluster = LocalCluster();
-      } else if (spec == "single") {
-        cluster = SingleMachine();
-      } else if (StartsWith(spec, "ec2:")) {
-        auto n = ParseInt64(spec.substr(4));
-        if (!n.has_value() || *n < 1) {
-          return Fail("bad node count in " + arg);
-        }
-        cluster = Ec2Cluster(static_cast<int>(*n));
-      } else {
-        return Fail("unknown cluster '" + spec + "'");
-      }
-      continue;
-    }
-    if (StartsWith(arg, "--engines=")) {
-      for (const std::string& name : StrSplit(arg.substr(10), ',')) {
-        auto kind = EngineFromName(name);
-        if (!kind.has_value()) {
-          return Fail("unknown engine '" + name + "'");
-        }
-        engines.push_back(*kind);
-      }
-      continue;
-    }
-    if (StartsWith(arg, "--input=")) {
-      std::string spec = arg.substr(8);
-      size_t eq = spec.find('=');
-      if (eq == std::string::npos) {
-        return Fail("--input needs NAME=FILE:SCHEMA");
-      }
-      std::string name = spec.substr(0, eq);
-      std::string rest = spec.substr(eq + 1);
-      size_t colon = rest.find(':');
-      if (colon == std::string::npos) {
-        return Fail("--input needs a schema after the file name");
-      }
-      std::string file = rest.substr(0, colon);
-      auto schema = ParseSchemaSpec(rest.substr(colon + 1));
-      if (!schema.has_value()) {
-        return Fail("bad schema spec in " + arg);
-      }
-      inputs.push_back({std::move(name), std::move(file), std::move(*schema)});
-      continue;
-    }
-    if (arg == "--incremental") {
-      incremental = true;
-      continue;
-    }
-    if (StartsWith(arg, "--partitioner=")) {
-      partitioner = arg.substr(14);
-      if (!PartitionStrategyKindFromName(partitioner).has_value() &&
-          PartitionStrategyRegistry::Global().Find(partitioner) == nullptr) {
-        std::string known;
-        for (const std::string& name :
-             PartitionStrategyRegistry::Global().Names()) {
-          if (!known.empty()) known += "|";
-          known += name;
-        }
-        return Fail("--partitioner needs one of " + known);
-      }
-      continue;
-    }
-    if (StartsWith(arg, "--replan-threshold=")) {
-      auto r = ParseDouble(arg.substr(19));
-      if (!r.has_value() || *r < 0) {
-        return Fail("--replan-threshold needs a ratio >= 0 (0 = off)");
-      }
-      replan_threshold = *r;
-      continue;
-    }
-    if (StartsWith(arg, "--shards=")) {
-      auto n = ParseInt64(arg.substr(9));
-      if (!n.has_value() || *n < 1 || *n > 64) {
-        return Fail("--shards needs a shard count in [1, 64]");
-      }
-      num_shards = static_cast<int>(*n);
-      continue;
-    }
-    if (StartsWith(arg, "--placement=")) {
-      auto policy = PlacementPolicyFromName(arg.substr(12));
-      if (!policy.has_value()) {
-        return Fail("--placement needs locality or random");
-      }
-      placement = *policy;
-      continue;
-    }
-    if (StartsWith(arg, "--shard-fault=")) {
-      std::string spec = arg.substr(14);
-      size_t at = spec.find('@');
-      auto shard = ParseInt64(spec.substr(0, at));
-      std::optional<int64_t> after;
-      if (at != std::string::npos) after = ParseInt64(spec.substr(at + 1));
-      if (!shard.has_value() || *shard < 0 || !after.has_value() ||
-          *after < 0) {
-        return Fail("--shard-fault needs SHARD@DISPATCHES");
-      }
-      shard_fault = static_cast<int>(*shard);
-      shard_fault_after = *after;
-      continue;
-    }
-    if (StartsWith(arg, "--shard-of=")) {
-      std::string spec = arg.substr(11);
-      size_t slash = spec.find('/');
-      auto k = ParseInt64(spec.substr(0, slash));
-      std::optional<int64_t> m;
-      if (slash != std::string::npos) m = ParseInt64(spec.substr(slash + 1));
-      if (!k.has_value() || !m.has_value() || *m < 1 || *k < 0 || *k >= *m) {
-        return Fail("--shard-of needs K/M with 0 <= K < M");
-      }
-      shard_of_k = static_cast<int>(*k);
-      shard_of_m = static_cast<int>(*m);
-      continue;
-    }
-    if (StartsWith(arg, "--peers=")) {
-      auto parsed = ParsePeerList(arg.substr(8));
-      if (!parsed.has_value()) {
-        return Fail("--peers needs host:port,host:port,... ('-' = own slot)");
-      }
-      peer_addrs = std::move(*parsed);
-      peers_given = true;
-      continue;
-    }
-    if (StartsWith(arg, "--scale=")) {
-      std::string spec = arg.substr(8);
-      size_t eq = spec.find('=');
-      auto factor = eq == std::string::npos
-                        ? std::nullopt
-                        : ParseDouble(spec.substr(eq + 1));
-      if (!factor.has_value() || *factor <= 0) {
-        return Fail("--scale needs NAME=FACTOR");
-      }
-      scales.emplace_back(spec.substr(0, eq), *factor);
-      continue;
-    }
-    if (StartsWith(arg, "--output=")) {
-      std::string spec = arg.substr(9);
-      size_t eq = spec.find('=');
-      if (eq == std::string::npos) {
-        return Fail("--output needs NAME=FILE");
-      }
-      outputs.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
       continue;
     }
     if (StartsWith(arg, "--")) {
@@ -731,29 +611,31 @@ int main(int argc, char** argv) {
     }
     workflow_paths.push_back(arg);
   }
-
-  if (workflow_paths.empty() && listen_port < 0) {
+  if (workflow_paths.empty() && args.listen_port < 0) {
     PrintUsage();
     return Fail("no workflow file given");
   }
-  if (listen_port < 0 && serve_workers == 0 && workflow_paths.size() > 1) {
+  if (args.listen_port < 0 && args.serve_workers == 0 &&
+      workflow_paths.size() > 1) {
     return Fail("multiple workflow files need --serve=N");
   }
-  if (num_shards > 0 && shard_of_k >= 0) {
+  if (args.num_shards > 0 && args.shard_of_k >= 0) {
     return Fail("--shards (in-process) and --shard-of (socket) are exclusive");
   }
-  if (num_shards > 0 && (serve_workers > 0 || listen_port >= 0)) {
+  if (args.num_shards > 0 &&
+      (args.serve_workers > 0 || args.listen_port >= 0)) {
     return Fail("--shards is a one-shot mode; use --shard-of for servers");
   }
-  if (shard_of_k >= 0) {
-    if (listen_port < 0) {
+  if (args.shard_of_k >= 0) {
+    if (args.listen_port < 0) {
       return Fail("--shard-of needs --listen=PORT (peers fetch relations "
                   "over the front door)");
     }
-    if (!peers_given || static_cast<int>(peer_addrs.size()) != shard_of_m) {
+    if (!args.peers_given ||
+        static_cast<int>(args.peer_addrs.size()) != args.shard_of_m) {
       return Fail("--shard-of=K/M needs --peers with exactly M entries");
     }
-  } else if (peers_given) {
+  } else if (args.peers_given) {
     return Fail("--peers only makes sense with --shard-of=K/M");
   }
 
@@ -762,17 +644,18 @@ int main(int argc, char** argv) {
   std::unique_ptr<ShardedDfs> sharded_dfs;
   std::unique_ptr<PeerDfs> peer_dfs;
   Dfs* dfs = &plain_dfs;
-  if (num_shards > 0) {
-    sharded_dfs = std::make_unique<ShardedDfs>(num_shards);
+  if (args.num_shards > 0) {
+    sharded_dfs = std::make_unique<ShardedDfs>(args.num_shards);
     dfs = sharded_dfs.get();
-  } else if (shard_of_k >= 0) {
-    peer_dfs = std::make_unique<PeerDfs>(shard_of_k, shard_of_m,
-                                         std::move(peer_addrs));
+  } else if (args.shard_of_k >= 0) {
+    peer_dfs = std::make_unique<PeerDfs>(args.shard_of_k, args.shard_of_m,
+                                         std::move(args.peer_addrs));
     dfs = peer_dfs.get();
   }
 
-  for (const auto& input : inputs) {
-    if (peer_dfs != nullptr && peer_dfs->OwnerOf(input.name) != shard_of_k) {
+  for (const CliInput& input : args.inputs) {
+    if (peer_dfs != nullptr &&
+        peer_dfs->OwnerOf(input.name) != args.shard_of_k) {
       continue;  // another process in the cluster owns (and loads) this one
     }
     auto table = LoadCsvFile(input.file, input.schema);
@@ -783,8 +666,8 @@ int main(int argc, char** argv) {
   }
 
   // Apply nominal scales.
-  for (const auto& [name, factor] : scales) {
-    if (peer_dfs != nullptr && peer_dfs->OwnerOf(name) != shard_of_k) {
+  for (const auto& [name, factor] : args.scales) {
+    if (peer_dfs != nullptr && peer_dfs->OwnerOf(name) != args.shard_of_k) {
       continue;  // the owning process applies this relation's scale
     }
     auto table = dfs->Get(name);
@@ -797,90 +680,66 @@ int main(int argc, char** argv) {
   }
 
   HistoryStore history;
-  if (!history_file.empty()) {
-    Status loaded = history.LoadFrom(history_file);
+  if (!args.history_file.empty()) {
+    Status loaded = history.LoadFrom(args.history_file);
     if (!loaded.ok()) {
-      return Fail("loading " + history_file + ": " + loaded.ToString());
+      return Fail("loading " + args.history_file + ": " + loaded.ToString());
     }
   }
   RuntimeHistory runtime_history;
-  if (!trace_out.empty()) {
+  if (!args.trace_out.empty()) {
     Tracer::Global().Enable(true);
   }
 
   // Observability epilogue shared by both modes: flush the trace, persist
   // history, dump metrics.
   auto epilogue = [&](int exit_code) {
-    if (!trace_out.empty()) {
-      Status written = Tracer::Global().WriteChromeTrace(trace_out);
+    if (!args.trace_out.empty()) {
+      Status written = Tracer::Global().WriteChromeTrace(args.trace_out);
       if (!written.ok()) {
         return Fail(written.ToString());
       }
       std::printf("wrote %zu trace span(s) to %s\n",
-                  Tracer::Global().span_count(), trace_out.c_str());
+                  Tracer::Global().span_count(), args.trace_out.c_str());
     }
-    if (!history_file.empty()) {
-      Status saved = history.SaveTo(history_file);
+    if (!args.history_file.empty()) {
+      Status saved = history.SaveTo(args.history_file);
       if (!saved.ok()) {
         return Fail(saved.ToString());
       }
     }
-    if (dump_metrics) {
+    if (args.dump_metrics) {
       std::printf("--- metrics ---\n%s",
                   MetricsRegistry::Global().DumpText().c_str());
     }
     return exit_code;
   };
 
-  RunOptions options;
-  options.cluster = cluster;
-  options.engines = engines;
-  if (!history_file.empty()) {
+  RunOptions options = args.options;
+  if (!args.history_file.empty()) {
     options.history = &history;
   }
   options.runtime_history = &runtime_history;
-  options.deadline = std::chrono::milliseconds(deadline_ms);
-  options.retry.max_attempts = static_cast<int>(max_retries) + 1;
-  options.retry.enable_failover = failover;
-  options.fault_rate = fault_rate;
-  options.fault_seed = static_cast<uint64_t>(fault_seed);
-  options.incremental = incremental;
-  if (!partitioner.empty()) {
-    auto kind = PartitionStrategyKindFromName(partitioner);
-    if (kind.has_value()) {
-      options.planner.strategy = *kind;
-      options.planner.custom_strategy.clear();
-    } else {
-      options.planner.custom_strategy = partitioner;  // registry extension
-    }
-  }
-  if (replan_threshold >= 0) {
-    options.planner.replan_threshold = replan_threshold;
-  }
   // One process, one fingerprint store: one-shot runs record into it (a
   // --repeat'd or resubmitted workflow in --serve/--listen mode instead uses
   // the service-owned store, plumbed when options.fingerprints stays null).
   FingerprintStore fingerprints;
 
-  if (listen_port >= 0) {
+  if (args.listen_port >= 0) {
     if (peer_dfs != nullptr) {
       std::printf("musketeer: serving shard %d of %d (%s partitioning)\n",
-                  shard_of_k, shard_of_m,
+                  args.shard_of_k, args.shard_of_m,
                   ShardingStrategyName(ShardingStrategy::kConsistentHash));
     }
-    return epilogue(RunListen(dfs, workflow_paths, language, options,
-                              serve_workers > 0 ? serve_workers : 4,
-                              static_cast<uint16_t>(listen_port),
-                              static_cast<size_t>(queue_capacity), plan_cache,
-                              std::chrono::milliseconds(dispatch_latency_ms),
-                              std::chrono::milliseconds(keepalive_timeout_ms),
-                              tenant_quotas, &history, &runtime_history));
+    return epilogue(RunListen(
+        dfs, workflow_paths, args,
+        MakeServiceConfig(args, args.serve_workers > 0 ? args.serve_workers : 4,
+                          options, &history)));
   }
-  if (serve_workers > 0) {
-    return epilogue(RunServe(dfs, workflow_paths, language, options,
-                             serve_workers, repeat,
-                             static_cast<size_t>(queue_capacity), plan_cache,
-                             &history, &runtime_history));
+  if (args.serve_workers > 0) {
+    return epilogue(RunServe(
+        dfs, workflow_paths, args,
+        MakeServiceConfig(args, args.serve_workers, options, &history)));
   }
 
   // One-shot from here on: record fingerprints into the process-local store
@@ -888,7 +747,7 @@ int main(int argc, char** argv) {
   options.fingerprints = &fingerprints;
 
   const std::string& workflow_path = workflow_paths[0];
-  auto loaded = LoadWorkflowFile(workflow_path, language);
+  auto loaded = LoadWorkflowFile(workflow_path, args.language);
   if (!loaded.has_value()) {
     return Fail("cannot load workflow '" + workflow_path +
                 "' (missing file, or pass --language=)");
@@ -897,7 +756,7 @@ int main(int argc, char** argv) {
 
   Musketeer m(dfs);
 
-  if (explain) {
+  if (args.explain) {
     auto dag = m.Lower(workflow, /*optimize=*/true);
     if (!dag.ok()) {
       return Fail(dag.status().ToString());
@@ -911,9 +770,9 @@ int main(int argc, char** argv) {
   std::unique_ptr<ShardCoordinator> coordinator;
   if (sharded_dfs != nullptr) {
     CoordinatorConfig coord_config;
-    coord_config.placement = placement;
-    coord_config.fault_shard = shard_fault;
-    coord_config.fault_after_dispatches = static_cast<int>(shard_fault_after);
+    coord_config.placement = args.placement;
+    coord_config.fault_shard = args.shard_fault;
+    coord_config.fault_after_dispatches = args.shard_fault_after;
     coord_config.default_options = options;
     coordinator =
         std::make_unique<ShardCoordinator>(sharded_dfs.get(), coord_config);
@@ -926,7 +785,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%zu job(s), %.1f simulated seconds on %s (%s partitioner%s):\n",
-              result->plans.size(), result->makespan, cluster.name.c_str(),
+              result->plans.size(), result->makespan,
+              options.cluster.name.c_str(),
               result->partition_strategy.c_str(),
               result->replans > 0
                   ? (", " + std::to_string(result->replans) + " replan(s)")
@@ -964,7 +824,7 @@ int main(int argc, char** argv) {
     std::printf("sharding: %d shard(s), jobs [%s], placement %s, "
                 "locality %llu/%llu\n",
                 coordinator->num_shards(), per_shard.c_str(),
-                PlacementPolicyName(placement),
+                PlacementPolicyName(args.placement),
                 (unsigned long long)cs.locality_hits,
                 (unsigned long long)cs.placements);
     std::printf("          %llu cross-shard fetch(es), %.2f MB at "
@@ -976,14 +836,14 @@ int main(int argc, char** argv) {
                   (unsigned long long)cs.shard_failovers);
     }
   }
-  if (explain) {
+  if (args.explain) {
     for (const JobPlan& plan : result->plans) {
       std::printf("\n--- %s ---\n%s", plan.name.c_str(),
                   plan.generated_code.c_str());
     }
   }
 
-  for (const auto& [relation, file] : outputs) {
+  for (const auto& [relation, file] : args.outputs) {
     auto table = dfs->Get(relation);
     if (!table.ok()) {
       return Fail("workflow produced no relation '" + relation + "'");
@@ -997,7 +857,7 @@ int main(int argc, char** argv) {
   }
 
   // Without --output, show the sink relations inline.
-  if (outputs.empty()) {
+  if (args.outputs.empty()) {
     for (const auto& [name, table] : result->outputs) {
       std::printf("\n%s:\n%s", name.c_str(), table->DebugString(10).c_str());
     }
